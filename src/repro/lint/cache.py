@@ -15,7 +15,8 @@ keyed by three things that together determine them exactly:
   metadata.
 
 Entries persist as deterministic JSON (sorted keys, stable indent) in
-``.repro-lint-cache/cache.json`` under the lint root.  Any mismatch —
+``.repro-lint-cache/cache.json`` under the lint root, written by
+:func:`write_json_atomic` (shared with :mod:`repro.xp`).  Any mismatch —
 edited file, different rule selection, bumped engine version, corrupt or
 truncated cache file — degrades to a cold check of the affected scope.
 The cache can therefore never change *what* is reported, only how much
@@ -27,8 +28,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.lint.engine import ENGINE_VERSION, Finding, Rule
 
@@ -37,6 +39,7 @@ __all__ = [
     "CACHE_FILE_NAME",
     "LintCache",
     "rule_fingerprint",
+    "write_json_atomic",
 ]
 
 #: Directory created under the lint root to hold the cache file.
@@ -59,6 +62,18 @@ def rule_fingerprint(rules: Sequence[Rule]) -> str:
         for rule in rules
     )
     return hashlib.sha256("\x1e".join(parts).encode("utf-8")).hexdigest()
+
+
+def write_json_atomic(path: Path, payload: Any) -> None:
+    """Write ``payload`` as sorted-key, indent-2 JSON plus a newline, via
+    ``<name>.tmp`` and an atomic rename (creating the directory): an
+    interrupted write leaves the previous file whole, never torn."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                   encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def _content_digest(source: str) -> str:
@@ -194,8 +209,5 @@ class LintCache:
             "rule_fingerprint": self.fingerprint,
             "files": self._files,
         }
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        write_json_atomic(self.path, payload)
         self._dirty = False

@@ -12,7 +12,9 @@ provides the space-sharing batch model the 2002 literature studied:
   overestimated runtimes);
 * policies — FCFS, SJF, EASY backfilling, conservative backfilling;
 * :class:`BatchSimulator` — the event-driven cluster that runs a workload
-  under a policy;
+  under a policy; :class:`FaultyBatchSimulator` (and
+  :class:`~repro.health.DegradedBatchSimulator` one layer up) run the
+  same event loop with node failures;
 * :func:`evaluate_schedule` — utilization, wait, bounded slowdown.
 """
 

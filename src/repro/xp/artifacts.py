@@ -6,8 +6,8 @@ failure modes used to corrupt that trajectory:
 
 * a plain ``write_text`` interrupted mid-write leaves a truncated file
   that CI's artifact-validation step then fails to parse — so writes go
-  through a temp file in the same directory followed by an atomic
-  :func:`os.replace`;
+  through :func:`repro.lint.cache.write_json_atomic` (a temp file in the
+  same directory, then an atomic :func:`os.replace`);
 * a partially failed bench run (one test errored, or ``-k`` selected a
   subset) emits an artifact *missing the sections* downstream tooling
   keys on — so callers declare their ``required`` sections and the
@@ -17,10 +17,10 @@ failure modes used to corrupt that trajectory:
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Any, Mapping, Sequence
+
+from repro.lint.cache import write_json_atomic
 
 __all__ = ["write_bench_artifact"]
 
@@ -42,8 +42,4 @@ def write_bench_artifact(path: Path, payload: Mapping[str, Any],
         raise ValueError(
             f"refusing to write {path.name}: missing or empty "
             f"section(s): {', '.join(missing)}")
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    write_json_atomic(path, payload)

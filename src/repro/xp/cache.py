@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
+
+from repro.lint.cache import write_json_atomic
 
 __all__ = ["CACHE_DIR_NAME", "CACHE_VERSION", "ResultCache",
            "canonical_json"]
@@ -53,13 +54,6 @@ def canonical_json(payload: Any) -> str:
     independent of dict insertion order.
     """
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write via a same-directory temp file + rename: never torn."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 class ResultCache:
@@ -130,8 +124,6 @@ class ResultCache:
         :meth:`get` can reject anything that does not match exactly.
         """
         key = self.key(experiment, point, code, config, seed)
-        path = self.entry_path(experiment, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "version": CACHE_VERSION,
             "tool": "repro.xp",
@@ -142,5 +134,4 @@ class ResultCache:
             "seed": seed,
             "summary": dict(summary),
         }
-        _atomic_write_text(
-            path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json_atomic(self.entry_path(experiment, key), payload)

@@ -174,6 +174,24 @@ class TestCorruption:
         assert result.cache_hits == 0
         assert [f.rule for f in result.findings] == ["REP003"]
 
+    def test_interrupted_save_leaves_the_previous_file_whole(
+            self, tmp_path, monkeypatch):
+        make_tree(tmp_path, dirty=1)
+        run(tmp_path, cache_at(tmp_path))
+        cache_file = tmp_path / "lint-cache" / CACHE_FILE_NAME
+        before = cache_file.read_bytes()
+        assert before == (json.dumps(json.loads(before), indent=2,
+                                     sort_keys=True) + "\n").encode()
+
+        def crash(src, dst):
+            raise OSError("killed mid-save")
+
+        monkeypatch.setattr("repro.lint.cache.os.replace", crash)
+        (tmp_path / "repro" / "mod0.py").write_text("CHANGED = 1\n")
+        with pytest.raises(OSError, match="mid-save"):
+            run(tmp_path, cache_at(tmp_path))
+        assert cache_file.read_bytes() == before
+
 
 class TestCliCache:
     def violations_tree(self, tmp_path):
