@@ -505,28 +505,32 @@ def build_parser() -> argparse.ArgumentParser:
     lint_cli.add_arguments(lint)
     lint.set_defaults(func=_cmd_lint)
 
+    def add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
+        """Campaign-shape options (campaign, trace and detsan)."""
+        parser.add_argument("--kernel", default="summa",
+                            help="registered kernel name (summa, stencil2d)")
+        parser.add_argument("--ranks", type=int, default=4)
+        parser.add_argument("--faults", type=int, default=3,
+                            help="number of scheduled node faults")
+        parser.add_argument("--first-fault", type=float, default=6e-4,
+                            help="virtual seconds until the first fault")
+        parser.add_argument("--seed", type=int, default=7)
+        parser.add_argument("--no-link-faults", dest="link_faults",
+                            action="store_false",
+                            help="skip the default link down windows")
+        parser.add_argument("--detector", default="none",
+                            choices=("none", "fixed", "phi"),
+                            help="none = oracle recovery; fixed/phi = "
+                                 "heartbeat-detected recovery")
+        parser.add_argument("--heartbeat", type=float, default=1e-4,
+                            help="heartbeat interval in virtual seconds")
+        parser.add_argument("--detect-timeout", type=float, default=None,
+                            help="dead-declaration silence threshold "
+                                 "(default 6 heartbeat intervals)")
+
     campaign = sub.add_parser(
         "campaign", help="fault campaign on a real kernel")
-    campaign.add_argument("--kernel", default="summa",
-                          help="registered kernel name (summa, stencil2d)")
-    campaign.add_argument("--ranks", type=int, default=4)
-    campaign.add_argument("--faults", type=int, default=3,
-                          help="number of scheduled node faults")
-    campaign.add_argument("--first-fault", type=float, default=6e-4,
-                          help="virtual seconds until the first fault")
-    campaign.add_argument("--seed", type=int, default=7)
-    campaign.add_argument("--no-link-faults", dest="link_faults",
-                          action="store_false",
-                          help="skip the default link down windows")
-    campaign.add_argument("--detector", default="none",
-                          choices=("none", "fixed", "phi"),
-                          help="none = oracle recovery; fixed/phi = "
-                               "heartbeat-detected recovery")
-    campaign.add_argument("--heartbeat", type=float, default=1e-4,
-                          help="heartbeat interval in virtual seconds")
-    campaign.add_argument("--detect-timeout", type=float, default=None,
-                          help="dead-declaration silence threshold "
-                               "(default 6 heartbeat intervals)")
+    add_campaign_arguments(campaign)
     campaign.set_defaults(func=_cmd_campaign)
 
     health = sub.add_parser(
@@ -556,26 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument("mode", choices=("campaign", "app"),
                             help="campaign = standard fault campaign; "
                                  "app = same kernel, failure-free")
-        parser.add_argument("--kernel", default="summa",
-                            help="registered kernel name (summa, stencil2d)")
-        parser.add_argument("--ranks", type=int, default=4)
-        parser.add_argument("--faults", type=int, default=3,
-                            help="number of scheduled node faults")
-        parser.add_argument("--first-fault", type=float, default=6e-4,
-                            help="virtual seconds until the first fault")
-        parser.add_argument("--seed", type=int, default=7)
-        parser.add_argument("--no-link-faults", dest="link_faults",
-                            action="store_false",
-                            help="skip the default link down windows")
-        parser.add_argument("--detector", default="none",
-                            choices=("none", "fixed", "phi"),
-                            help="none = oracle recovery; fixed/phi = "
-                                 "heartbeat-detected recovery")
-        parser.add_argument("--heartbeat", type=float, default=1e-4,
-                            help="heartbeat interval in virtual seconds")
-        parser.add_argument("--detect-timeout", type=float, default=None,
-                            help="dead-declaration silence threshold "
-                                 "(default 6 heartbeat intervals)")
+        add_campaign_arguments(parser)
 
     trace = sub.add_parser(
         "trace", help="Chrome trace + metrics dump of an instrumented run")

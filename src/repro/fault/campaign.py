@@ -17,12 +17,20 @@ The moving parts, bottom-up:
 * :class:`RankCheckpoint` — the per-rank handle kernels see: a
   ``restored`` state (or ``None`` on fresh start) and a coordinated
   ``save`` (barrier, write cost, stage);
-* :func:`run_campaign` — the supervisor: spawns an incarnation of the
-  job, advances virtual time to the next scheduled node fault, tears the
-  job down (every rank interrupted, the victim with a
+* :func:`run_campaign` — the supervisor, one loop for every recovery
+  mode: it spawns an incarnation of the job, advances virtual time to
+  the next *death declaration*, tears the job down (every rank
+  interrupted, the victim with a
   :class:`~repro.sim.causes.FailureCause`), pays the restart cost, and
   respawns from the vault — repeating until the job completes; then
   replays the failure-free run and compares answers.
+
+Who declares a death is the only difference between recovery modes.
+Without a :class:`~repro.health.monitor.DetectionSpec` the oracle
+declares a node fault dead the instant it strikes: zero-latency
+detection.  With one, a fault only stops its victim, and a heartbeat or
+gossip monitor on the same fabric must notice; recovery then pays the
+time-to-detect, and may act on a partition's false declaration.
 
 Everything is deterministic for a fixed seed: fault times are declared,
 retry jitter and random loss draw from named
@@ -41,8 +49,10 @@ import numpy as np
 
 from repro.health.gossip import build_monitor
 from repro.health.monitor import (
+    DeathRecord,
     DetectionOutcome,
     DetectionSpec,
+    MembershipMonitor,
 )
 from repro.messaging.comm import CommConfig, CommWorld, Communicator
 from repro.network.fabric import Fabric, FabricFaultPlan
@@ -428,18 +438,6 @@ def build_fault_plan(
     return plan
 
 
-def _build_plan(spec: CampaignSpec, streams: RandomStreams,
-                topology: FatTreeTopology) -> Optional[FabricFaultPlan]:
-    """Spec-shaped wrapper over :func:`build_fault_plan`."""
-    return build_fault_plan(
-        topology,
-        link_faults=spec.link_faults,
-        switch_faults=spec.switch_faults,
-        drop_probability=spec.drop_probability,
-        corrupt_probability=spec.corrupt_probability,
-        streams=streams)
-
-
 def _teardown(procs: List[Process], victim: int, index: int) -> None:
     """Interrupt every live rank of the incarnation.
 
@@ -454,6 +452,21 @@ def _teardown(procs: List[Process], victim: int, index: int) -> None:
                 process.interrupt(FailureCause.numbered(index))
             else:
                 process.interrupt(AbortCause.numbered(victim, index))
+
+
+def _kill_process(sim: Simulator, process: Optional[Process],
+                  cause: Any) -> None:
+    """Tear down one process with the double-interrupt dance (the
+    same-timestamp no-op rule means the first interrupt can be
+    ignored by a process whose wakeup is due this very instant).
+    The jobs campaigns kill crashed workers and supervisors with it."""
+    if process is None or not process.is_alive:
+        return
+    process.interrupt(cause)
+    sim.run(until=sim.now)
+    if process.is_alive:
+        process.interrupt(cause)
+        sim.run(until=sim.now)
 
 
 def _collect_counters(plan: Optional[FabricFaultPlan]) -> Dict[str, int]:
@@ -482,11 +495,18 @@ def _collect_comm_stats(worlds: List[CommWorld]) -> Dict[str, int]:
     return comm_stats
 
 
+def _first_failure(procs: List[Process]) -> Optional[BaseException]:
+    """The exception of the first rank that raised (None if none did)."""
+    return next((p.value for p in procs if p.triggered and not p.ok), None)
+
+
 def _verify_procs(procs: List[Process]) -> None:
-    """Final-incarnation sanity: every rank finished cleanly."""
+    """Final-incarnation sanity: every rank finished cleanly.  A rank's
+    own failure is reported ahead of the ranks it left blocked."""
+    failure = _first_failure(procs)
+    if failure is not None:
+        raise failure
     for rank, process in enumerate(procs):
-        if process.triggered and not process.ok:
-            raise process.value
         if not process.triggered:
             raise SimulationError(
                 f"campaign deadlock: rank {rank} still blocked after the "
@@ -499,7 +519,7 @@ def _publish_run_metrics(obs: Observability, incarnations: int,
                          lost_work: float, recovery: float, elapsed: float,
                          comm_stats: Dict[str, int],
                          counters: Dict[str, int]) -> None:
-    """Push the per-run gauges every execution path shares."""
+    """Push the per-run campaign, messaging and fabric gauges."""
     if not obs.enabled:
         return
     metrics = obs.metrics
@@ -513,27 +533,111 @@ def _publish_run_metrics(obs: Observability, incarnations: int,
         metrics.gauge(f"fabric.plan.{key}").set(float(value))
 
 
+#: Event-budget backstop for detection-driven runs: the monitor keeps
+#: the queue non-empty forever, so a supervisor bug would otherwise spin
+#: silently instead of deadlocking the queue like the oracle path.
+_DETECTION_MAX_EVENTS = 5_000_000
+_DETECTION_CHUNK_EVENTS = 100_000
+
+
+def _oracle_deaths(sim: Simulator, obs: Observability,
+                   procs: List[Process],
+                   faults: List[NodeFaultSpec]) -> List[DeathRecord]:
+    """Zero-latency detection: run to the next fault and declare its
+    victim dead the instant it strikes.  An empty list means the job is
+    over: it finished first, or the queue drained with no fault left.
+
+    Only plain runs advance the clock, which keeps oracle runs and clean
+    replays on the engine's fast loop.
+    """
+    if not faults:
+        sim.run()
+        return []
+    fault = faults.pop(0)
+    # A fault scheduled before `now` struck while the job was down
+    # (mid-restart): it hits the new incarnation the instant it comes up.
+    sim.run(until=max(fault.time, sim.now))
+    if all(p.triggered for p in procs):
+        return []  # The job beat the fault; it hits an idle machine.
+    obs.instant("campaign.node_fault", track="campaign", time=sim.now,
+                rank=fault.rank)
+    return [DeathRecord(fault.rank, sim.now, sim.now)]
+
+
+def _detected_deaths(sim: Simulator, obs: Observability,
+                     monitor: MembershipMonitor, procs: List[Process],
+                     faults: List[NodeFaultSpec],
+                     failures: int) -> List[DeathRecord]:
+    """Run until ``monitor`` declares a death, which may be a
+    partition's lie; an empty list means the job is over.
+
+    A scheduled fault only *stops its victim* (its rank process dies as
+    failure number ``failures``, its heartbeats cease), so the deaths
+    come later, and the lost work includes the time-to-detect.
+    """
+
+    def job_complete() -> bool:
+        """The workload is done and no recovery is owed."""
+        if not all(p.triggered for p in procs):
+            return False
+        if monitor.crashed_nodes or monitor.pending_deaths:
+            return False
+        # A rank failed with nothing left to recover it: stop and let
+        # the final verification surface the error.
+        return all(p.ok for p in procs) or not faults
+
+    while True:
+        deaths = monitor.pop_deaths()
+        if deaths or job_complete():
+            return deaths
+        if faults and sim.now >= faults[0].time:
+            fault = faults.pop(0)
+            if all(p.triggered and p.ok for p in procs):
+                continue  # the job beat the fault: an idle machine
+            obs.instant("campaign.node_fault", track="campaign",
+                        rank=fault.rank)
+            _kill_process(sim, procs[fault.rank],
+                          FailureCause.numbered(failures))
+            monitor.crash(fault.rank)
+            continue
+        sim.run(until=max(faults[0].time, sim.now) if faults else None,
+                max_events=_DETECTION_CHUNK_EVENTS,
+                stop=lambda: bool(monitor.pending_deaths) or job_complete())
+        if sim.events_executed > _DETECTION_MAX_EVENTS:
+            raise SimulationError(
+                "detection-driven campaign exceeded its event budget: the "
+                "job can neither finish nor recover (detector never "
+                "fired? victim not monitored?)") from _first_failure(procs)
+
+
 def _run_once(spec: CampaignSpec, faults_enabled: bool,
               obs: Optional[Observability] = None,
               detsan: Optional[DetSanRecorder] = None) -> RunOutcome:
     """Execute the campaign workload once, with or without faults.
 
-    When the spec carries a :class:`~repro.health.monitor.DetectionSpec`
-    and faults are enabled, recovery is detection-driven (see
-    :func:`_run_detected`); the clean reference always runs oracle-free,
+    The one supervisor loop: spawn an incarnation, advance to the next
+    death declaration, then recover — account the lost work, tear the
+    job down, roll the vault back, pay the restart, and respawn from
+    the last committed checkpoint — until an incarnation completes.
+    With faults enabled and a
+    :class:`~repro.health.monitor.DetectionSpec` set, a monitor declares
+    the deaths; otherwise the oracle declares a node fault dead the
+    instant it strikes.  The clean reference always runs oracle-free,
     which strengthens the bit-identity check — the detector may change
     *when* recovery happens, never *what* is computed.  ``detsan``
     attaches a determinism sanitizer to the run's simulator.
     """
     if obs is None:
         obs = NULL_OBS
-    if faults_enabled and spec.detection is not None:
-        return _run_detected(spec, obs, detsan=detsan)
     streams = RandomStreams(seed=spec.seed)
     sim = Simulator(obs=obs, detsan=detsan)
     topology = spec.topology()
-    plan = (_build_plan(spec, streams, topology)
-            if faults_enabled else None)
+    plan = build_fault_plan(
+        topology, link_faults=spec.link_faults,
+        switch_faults=spec.switch_faults,
+        drop_probability=spec.drop_probability,
+        corrupt_probability=spec.corrupt_probability,
+        streams=streams) if faults_enabled else None
     # One fabric for the whole run: outage schedules, degraded-route
     # caches, and traffic counters span incarnations, as on a real
     # machine.  Each incarnation gets a fresh CommWorld so stale traffic
@@ -544,17 +648,29 @@ def _run_once(spec: CampaignSpec, faults_enabled: bool,
     vault = CheckpointVault(spec.ranks)
     factory = get_kernel(spec.kernel)
     body_fn = factory(spec.ranks, streams, dict(spec.app_args))
+    monitor: Optional[MembershipMonitor] = None
+    if faults_enabled and spec.detection is not None:
+        monitor = build_monitor(sim, fabric, spec.ranks,
+                                spec=spec.detection, streams=streams)
+        monitor.start()
 
-    node_faults = (sorted(spec.node_faults, key=lambda f: (f.time, f.rank))
-                   if faults_enabled else [])
+    # Scheduled node faults yet to strike, soonest first; the death
+    # sources below pop each one as it strikes.
+    faults = (sorted(spec.node_faults, key=lambda f: (f.time, f.rank))
+              if faults_enabled else [])
     fault_trace: List[Tuple[float, int, Optional[int]]] = []
     lost_work = 0.0
     recovery = 0.0
     incarnations = 0
-    next_fault = 0
     worlds: List[CommWorld] = []
     finished_at = [float("nan")] * spec.ranks
     answers: List[Any] = [None] * spec.ranks
+
+    def rank_body(comm: Communicator, ckpt: RankCheckpoint):
+        result = yield from body_fn(comm, ckpt)
+        finished_at[comm.rank] = sim.now
+        answers[comm.rank] = result
+        return result
 
     while True:
         incarnations += 1
@@ -564,13 +680,6 @@ def _run_once(spec: CampaignSpec, faults_enabled: bool,
         world = CommWorld(sim, fabric, config=config, streams=streams)
         worlds.append(world)
         procs: List[Process] = []
-
-        def rank_body(comm: Communicator, ckpt: RankCheckpoint):
-            result = yield from body_fn(comm, ckpt)
-            finished_at[comm.rank] = sim.now
-            answers[comm.rank] = result
-            return result
-
         for rank in range(spec.ranks):
             comm = world.communicator(rank)
             ckpt = RankCheckpoint(vault, comm,
@@ -581,53 +690,60 @@ def _run_once(spec: CampaignSpec, faults_enabled: bool,
             process.defused = True
             procs.append(process)
 
-        if next_fault < len(node_faults):
-            fault = node_faults[next_fault]
-            # A fault scheduled before `now` struck while the job was
-            # down (mid-restart): it hits the new incarnation the
-            # instant it comes up.
-            sim.run(until=max(fault.time, sim.now))
-            if all(p.triggered for p in procs):
-                # The job beat the fault; it hits an idle machine.
-                next_fault += 1
-                inc_span.close()
-                break
-            next_fault += 1
-            struck_at = sim.now
-            committed = vault.latest
-            committed_step = committed[0] if committed is not None else None
-            # Work lost = progress made *this incarnation* past the last
-            # committed cut (a commit from a previous incarnation cannot
-            # move the base before this incarnation even started).
-            last_commit = vault.last_commit_time
-            base = incarnation_start
-            if last_commit is not None and last_commit > base:
-                base = last_commit
-            lost_work += sim.now - base
-            obs.instant("campaign.node_fault", track="campaign",
-                        time=struck_at, rank=fault.rank)
-            obs.add_span("campaign.lost_work", base, sim.now,
-                         track="campaign", rank=fault.rank)
-            world.fail_rank(fault.rank)
-            _teardown(procs, fault.rank, len(fault_trace))
-            sim.run(until=sim.now)
-            # Survivors of the same-timestamp no-op rule get a second,
-            # always-landing interrupt now that due wakeups have fired.
-            _teardown(procs, fault.rank, len(fault_trace))
-            sim.run(until=sim.now)
-            vault.rollback()
-            fault_trace.append((struck_at, fault.rank, committed_step))
-            inc_span.set(faulted=True, victim=fault.rank).close()
-            recovery += spec.restart_seconds
-            obs.add_span("campaign.restart", sim.now,
-                         sim.now + spec.restart_seconds, track="campaign")
-            sim.run(until=sim.now + spec.restart_seconds)
-            continue
+        if monitor is None:
+            deaths = _oracle_deaths(sim, obs, procs, faults)
+        else:
+            deaths = _detected_deaths(sim, obs, monitor, procs, faults,
+                                      len(fault_trace))
+        if not deaths:
+            inc_span.close()
+            break
 
-        sim.run()
-        inc_span.close()
-        break
+        # Recover, whether the declaration is true or a partition's lie.
+        victim = deaths[0].node
+        declared_at = sim.now
+        committed = vault.latest
+        # Work lost = progress made *this incarnation* past the last
+        # committed cut (a commit from a previous incarnation cannot
+        # move the base before this incarnation even started).
+        last_commit = vault.last_commit_time
+        base = incarnation_start
+        if last_commit is not None and last_commit > base:
+            base = last_commit
+        lost_work += sim.now - base
+        if monitor is not None:
+            obs.instant("campaign.death_detected", track="campaign",
+                        rank=victim, false=deaths[0].false_positive)
+        obs.add_span("campaign.lost_work", base, sim.now,
+                     track="campaign", rank=victim)
+        for record in deaths:
+            world.fail_rank(record.node)
+        # Survivors of the same-timestamp no-op rule get a second,
+        # always-landing interrupt once due wakeups have fired.
+        for _ in range(2):
+            _teardown(procs, victim, len(fault_trace))
+            sim.run(until=sim.now)
+        vault.rollback()
+        fault_trace.append((declared_at, victim,
+                            committed[0] if committed is not None else None))
+        if monitor is not None:
+            for record in deaths:
+                monitor.repair(record.node)
+        inc_span.set(faulted=True, victim=victim).close()
+        recovery += spec.restart_seconds
+        obs.add_span("campaign.restart", sim.now,
+                     sim.now + spec.restart_seconds, track="campaign")
+        sim.run(until=sim.now + spec.restart_seconds)
+        if monitor is not None:
+            for record in deaths:
+                monitor.restore(record.node)
 
+    if monitor is not None:
+        # Quiesce the monitor so its spans close (double pass for the
+        # same-timestamp no-op rule, as at teardown).
+        for _ in range(2):
+            monitor.stop()
+            sim.run(until=sim.now)
     _verify_procs(procs)
     # Deterministic teardown of abandoned helpers (suspended receives
     # from torn-down incarnations): their spans must close here, not
@@ -639,6 +755,8 @@ def _run_once(spec: CampaignSpec, faults_enabled: bool,
     comm_stats = _collect_comm_stats(worlds)
     _publish_run_metrics(obs, incarnations, lost_work, recovery, elapsed,
                          comm_stats, counters)
+    if monitor is not None:
+        monitor.publish(obs)
     return RunOutcome(
         elapsed=elapsed,
         answers=tuple(answers),
@@ -649,201 +767,7 @@ def _run_once(spec: CampaignSpec, faults_enabled: bool,
         recovery_seconds=recovery,
         comm_stats=comm_stats,
         fabric_counters=counters,
-    )
-
-
-#: Event-budget backstop for detection-driven runs: the monitor keeps
-#: the queue non-empty forever, so a supervisor bug would otherwise spin
-#: silently instead of deadlocking the queue like the oracle path.
-_DETECTION_MAX_EVENTS = 5_000_000
-_DETECTION_CHUNK_EVENTS = 100_000
-
-
-def _run_detected(spec: CampaignSpec, obs: Observability,
-                  detsan: Optional[DetSanRecorder] = None) -> RunOutcome:
-    """Execute the faulty run with detector-driven recovery.
-
-    The supervisor has no oracle: a scheduled node fault only *stops the
-    victim* (its rank process dies, its heartbeats cease).  Rollback
-    waits until the :class:`~repro.health.monitor.HeartbeatMonitor`
-    declares the node dead, so lost work includes the time-to-detect —
-    and because heartbeats ride the real fabric, a link outage can
-    produce a *false* declaration whose rollback must be spurious but
-    safe (the bit-identity check proves it is).
-    """
-    detection = spec.detection
-    assert detection is not None
-    streams = RandomStreams(seed=spec.seed)
-    sim = Simulator(obs=obs, detsan=detsan)
-    topology = spec.topology()
-    plan = _build_plan(spec, streams, topology)
-    fabric = Fabric(sim, topology, get_interconnect(spec.technology),
-                    fault_plan=plan)
-    config = spec.comm_config()
-    vault = CheckpointVault(spec.ranks)
-    factory = get_kernel(spec.kernel)
-    body_fn = factory(spec.ranks, streams, dict(spec.app_args))
-    monitor = build_monitor(sim, fabric, spec.ranks, spec=detection,
-                            streams=streams)
-    monitor.start()
-
-    node_faults = sorted(spec.node_faults, key=lambda f: (f.time, f.rank))
-    fault_trace: List[Tuple[float, int, Optional[int]]] = []
-    lost_work = 0.0
-    recovery = 0.0
-    incarnations = 0
-    next_fault = 0
-    worlds: List[CommWorld] = []
-    finished_at = [float("nan")] * spec.ranks
-    answers: List[Any] = [None] * spec.ranks
-    procs: List[Process] = []
-
-    def job_complete() -> bool:
-        """The workload is done and no recovery is owed."""
-        if not all(p.triggered for p in procs):
-            return False
-        if monitor.crashed_nodes or monitor.pending_deaths:
-            return False
-        if all(p.ok for p in procs):
-            return True
-        # A rank failed with nothing left to recover it: stop and let
-        # the final verification surface the error.
-        return next_fault >= len(node_faults)
-
-    while True:
-        incarnations += 1
-        incarnation_start = sim.now
-        inc_span = obs.span("campaign.incarnation", track="campaign",
-                            index=incarnations)
-        world = CommWorld(sim, fabric, config=config, streams=streams)
-        worlds.append(world)
-        procs = []
-
-        def rank_body(comm: Communicator, ckpt: RankCheckpoint):
-            result = yield from body_fn(comm, ckpt)
-            finished_at[comm.rank] = sim.now
-            answers[comm.rank] = result
-            return result
-
-        for rank in range(spec.ranks):
-            comm = world.communicator(rank)
-            ckpt = RankCheckpoint(vault, comm,
-                                  spec.checkpoint_write_seconds,
-                                  spec.checkpoint_every)
-            process = sim.process(rank_body(comm, ckpt),
-                                  name=f"rank{rank}.{incarnations}")
-            process.defused = True
-            procs.append(process)
-
-        rolled_back = False
-        while True:
-            deaths = monitor.pop_deaths()
-            if deaths:
-                # The detector spoke: tear down and roll back, whether
-                # the declaration is true or a partition's lie.
-                victim = deaths[0].node
-                declared_at = sim.now
-                committed = vault.latest
-                committed_step = (committed[0] if committed is not None
-                                  else None)
-                last_commit = vault.last_commit_time
-                base = incarnation_start
-                if last_commit is not None and last_commit > base:
-                    base = last_commit
-                lost_work += sim.now - base
-                obs.instant("campaign.death_detected", track="campaign",
-                            rank=victim,
-                            false=deaths[0].false_positive)
-                obs.add_span("campaign.lost_work", base, sim.now,
-                             track="campaign", rank=victim)
-                for record in deaths:
-                    world.fail_rank(record.node)
-                _teardown(procs, victim, len(fault_trace))
-                sim.run(until=sim.now)
-                _teardown(procs, victim, len(fault_trace))
-                sim.run(until=sim.now)
-                vault.rollback()
-                fault_trace.append((declared_at, victim, committed_step))
-                for record in deaths:
-                    monitor.repair(record.node)
-                inc_span.set(faulted=True, victim=victim).close()
-                recovery += spec.restart_seconds
-                obs.add_span("campaign.restart", sim.now,
-                             sim.now + spec.restart_seconds,
-                             track="campaign")
-                sim.run(until=sim.now + spec.restart_seconds)
-                for record in deaths:
-                    monitor.restore(record.node)
-                rolled_back = True
-                break
-            if job_complete():
-                break
-            if (next_fault < len(node_faults)
-                    and sim.now >= node_faults[next_fault].time):
-                fault = node_faults[next_fault]
-                next_fault += 1
-                if all(p.triggered and p.ok for p in procs):
-                    continue  # the job beat the fault: an idle machine
-                obs.instant("campaign.node_fault", track="campaign",
-                            rank=fault.rank)
-                victim_proc = procs[fault.rank]
-                if victim_proc.is_alive:
-                    victim_proc.interrupt(
-                        FailureCause.numbered(len(fault_trace)))
-                    sim.run(until=sim.now)
-                    if victim_proc.is_alive:
-                        # Same-timestamp no-op rule: the second
-                        # interrupt always lands.
-                        victim_proc.interrupt(
-                            FailureCause.numbered(len(fault_trace)))
-                        sim.run(until=sim.now)
-                monitor.crash(fault.rank)
-                continue
-            target = None
-            if next_fault < len(node_faults):
-                target = max(node_faults[next_fault].time, sim.now)
-            sim.run(until=target, max_events=_DETECTION_CHUNK_EVENTS,
-                    stop=lambda: (bool(monitor.pending_deaths)
-                                  or job_complete()))
-            if sim.events_executed > _DETECTION_MAX_EVENTS:
-                raise SimulationError(
-                    "detection-driven campaign exceeded its event "
-                    "budget: the job can neither finish nor recover "
-                    "(detector never fired? victim not monitored?)")
-        if rolled_back:
-            continue
-        inc_span.close()
-        break
-
-    # Quiesce the monitor so its spans close (double pass for the
-    # same-timestamp no-op rule, as at teardown).
-    monitor.stop()
-    sim.run(until=sim.now)
-    monitor.stop()
-    sim.run(until=sim.now)
-    _verify_procs(procs)
-    # Deterministic teardown of abandoned helpers (suspended receives
-    # from torn-down incarnations): their spans must close here, not
-    # whenever the garbage collector reaps the generators.
-    sim.quiesce()
-
-    elapsed = max(finished_at)
-    counters = _collect_counters(plan)
-    comm_stats = _collect_comm_stats(worlds)
-    _publish_run_metrics(obs, incarnations, lost_work, recovery, elapsed,
-                         comm_stats, counters)
-    monitor.publish(obs)
-    return RunOutcome(
-        elapsed=elapsed,
-        answers=tuple(answers),
-        incarnations=incarnations,
-        commits=vault.commits,
-        fault_trace=tuple(fault_trace),
-        lost_work_seconds=lost_work,
-        recovery_seconds=recovery,
-        comm_stats=comm_stats,
-        fabric_counters=counters,
-        detection=monitor.outcome(),
+        detection=None if monitor is None else monitor.outcome(),
     )
 
 

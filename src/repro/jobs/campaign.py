@@ -26,6 +26,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.fault.campaign import (
     LinkFaultSpec,
     SwitchFaultSpec,
+    _kill_process,
     build_fault_plan,
 )
 from repro.health.monitor import DetectionOutcome
@@ -38,7 +39,7 @@ from repro.network.topology import FatTreeTopology
 from repro.obs import NULL_OBS, Observability
 from repro.scheduler.job import Job
 from repro.sim.detsan import DetSanRecorder
-from repro.sim.engine import Process, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.rng import RandomStreams
 
 __all__ = [
@@ -367,20 +368,6 @@ def _build_actions(spec: JobsCampaignSpec) -> List[_Action]:
         add(outage.time + outage.restart_after, 5, "restart-supervisor")
     actions.sort(key=lambda a: (a.time, a.priority, a.seq))
     return actions
-
-
-def _kill_process(sim: Simulator, process: Optional[Process],
-                  cause: str) -> None:
-    """Tear down one process with the double-interrupt dance (the
-    same-timestamp no-op rule means the first interrupt can be
-    ignored by a process whose wakeup is due this very instant)."""
-    if process is None or not process.is_alive:
-        return
-    process.interrupt(cause)
-    sim.run(until=sim.now)
-    if process.is_alive:
-        process.interrupt(cause)
-        sim.run(until=sim.now)
 
 
 def _apply(sim: Simulator, service: JobService, obs: Observability,

@@ -16,10 +16,12 @@ from repro.fault import (
     NodeFaultSpec,
     SwitchFaultSpec,
     available_kernels,
+    campaign,
     get_kernel,
     run_campaign,
 )
-from repro.sim import RandomStreams
+from repro.health import DetectionSpec
+from repro.sim import RandomStreams, SimulationError
 from tests.conftest import CAMPAIGN_NODE_FAULTS as NODE_FAULTS
 from tests.conftest import make_stencil_spec as stencil_spec
 from tests.conftest import make_summa_spec as summa_spec
@@ -166,3 +168,70 @@ class TestRandomLossCampaign:
         report = run_campaign(summa_spec())
         assert "bit-identical" in report.summary()
         assert "3 node fault(s)" in report.summary()
+
+
+class KernelBug(RuntimeError):
+    """A deliberate defect in a test kernel."""
+
+
+def buggy_kernel(ranks, streams, app_args):
+    """Rank 1 raises; the other ranks wait for it in a barrier."""
+
+    def body(comm, ckpt):
+        if comm.rank == 1:
+            yield comm.sim.timeout(1e-5)
+            raise KernelBug("rank 1 hit a kernel bug")
+        yield from comm.barrier()
+        return comm.rank
+
+    return body
+
+
+def stuck_kernel(ranks, streams, app_args):
+    """Rank 1 waits on an event that never fires."""
+
+    def body(comm, ckpt):
+        if comm.rank == 1:
+            yield comm.sim.event("never")
+        yield comm.sim.timeout(1e-5)
+        return comm.rank
+
+    return body
+
+
+@pytest.fixture
+def broken_kernels(monkeypatch):
+    """Register the broken kernels for one test only."""
+    monkeypatch.setitem(campaign._KERNELS, "kernel-bug", buggy_kernel)
+    monkeypatch.setitem(campaign._KERNELS, "stuck", stuck_kernel)
+
+
+@pytest.mark.usefixtures("broken_kernels")
+class TestFailurePaths:
+    def test_oracle_reports_the_failed_rank_not_a_blocked_one(self):
+        """Ranks 0, 2 and 3 are blocked because rank 1 raised, so the
+        error names rank 1's bug, not "rank 0 still blocked"."""
+        with pytest.raises(KernelBug, match="rank 1"):
+            run_campaign(summa_spec(kernel="kernel-bug"))
+
+    def test_detected_budget_error_chains_the_failed_rank(self,
+                                                          monkeypatch):
+        """The monitor keeps the queue busy, so the run spins to its
+        event budget; the budget error carries the rank's bug as its
+        cause."""
+        monkeypatch.setattr(campaign, "_DETECTION_MAX_EVENTS", 20_000)
+        monkeypatch.setattr(campaign, "_DETECTION_CHUNK_EVENTS", 5_000)
+        spec = summa_spec(
+            kernel="kernel-bug", link_faults=(),
+            detection=DetectionSpec(detector="fixed",
+                                    heartbeat_interval=1e-4))
+        with pytest.raises(SimulationError, match="event budget") as info:
+            run_campaign(spec)
+        assert isinstance(info.value.__cause__, KernelBug)
+
+    def test_oracle_still_reports_a_deadlock(self):
+        """No rank failed, but rank 1 can never finish: once the faults
+        are spent and the queue drains, the supervisor must stop."""
+        with pytest.raises(SimulationError,
+                           match="campaign deadlock: rank 1 still blocked"):
+            run_campaign(summa_spec(kernel="stuck"))
