@@ -81,7 +81,7 @@ from repro.network.fabric import (
     TransferDropped,
 )
 from repro.obs import Observability
-from repro.sim.engine import Interrupt, Process, Simulator
+from repro.sim.engine import Interrupt, Simulator
 from repro.sim.event import Event
 from repro.sim.rng import RandomStreams
 
@@ -156,12 +156,15 @@ class GossipMonitor(MembershipMonitor):
     :meth:`restore` — so campaign supervisors, spare pools and the CLI
     swap detectors by flipping ``DetectionSpec.detector``.
 
-    ``spec.heartbeat_slots`` selects probe-round scheduling exactly as
-    for heartbeats: ``None`` runs one prober process per node (fine to
-    ~10^3), an integer ``S`` runs one slot-driver walking ``S`` phases
-    per period for the whole fleet — the discipline that makes 10^4-node
-    gossip affordable on the calendar event queue.
+    Probe rounds run on the shared slot driver exactly as heartbeats
+    do: ``spec.heartbeat_slots`` unset gives each node its own slot and
+    phase in the period, an integer ``S`` has the fleet share ``S``
+    slots per period (node ``n`` probes in slot ``n % S``) — the
+    discipline that makes 10^4-node gossip affordable on the calendar
+    event queue.
     """
+
+    _driver_name = "gs.slots"
 
     def __init__(self, sim: Simulator, fabric: Fabric, nodes: int,
                  spec: Optional[DetectionSpec] = None,
@@ -189,18 +192,7 @@ class GossipMonitor(MembershipMonitor):
         self._winning: Dict[int, Tuple[GossipStatus, int]] = {}
         #: Affine sweep state per node: (a, b, position) or None.
         self._sweeps: List[Optional[Tuple[int, int, int]]] = [None] * nodes
-        #: Nodes whose probe loop is live (membership-tested only, never
-        #: iterated, so hash order cannot leak into the schedule).
-        self._probing: Set[int] = set()
         self._rngs: Dict[int, Any] = {}
-        self._probers: Dict[int, Process] = {}
-        self._slot_driver: Optional[Process] = None
-        self._slot_nodes: List[List[int]] = []
-        slots = self.spec.heartbeat_slots
-        if slots is not None:
-            self._slot_nodes = [[] for _ in range(slots)]
-            for node in range(nodes):
-                self._slot_nodes[node % slots].append(node)
         #: In-flight dissemination tracking: update key -> (created_at,
         #: appliers).  Only created (rare) updates are tracked, so the
         #: steady state costs nothing.
@@ -216,51 +208,11 @@ class GossipMonitor(MembershipMonitor):
         self.bytes_received_by: List[int] = [0] * nodes
         self.dissemination_half_seconds: List[float] = []
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> None:
-        """Spawn the probe loops (per-node or slotted)."""
-        if self._started:
-            raise RuntimeError("monitor already started")
-        self._started = True
-        slotted = self.spec.heartbeat_slots is not None
-        for node in range(self.nodes):
-            self._probing.add(node)
-            if not slotted:
-                self._spawn_prober(node)
-        if slotted:
-            self._slot_driver = self.sim.process(
-                self._slot_driver_body(), name="gs.slots")
-
-    def stop(self) -> None:
-        """Interrupt every live prober (clean shutdown so open spans
-        close and the queue can quiesce)."""
-        for process in self._probers.values():
-            if process.is_alive:
-                process.interrupt("monitor-stop")
-        if self._slot_driver is not None and self._slot_driver.is_alive:
-            self._slot_driver.interrupt("monitor-stop")
-        self._probing.clear()
-
     # -- supervisor surface ------------------------------------------------
 
-    def crash(self, node: int) -> None:
-        """Ground truth: ``node`` just died.  Freezes its protocol
-        participation (no probes, no acks, no update processing); the
-        fleet must still *notice* through failed probes."""
-        if not 0 <= node < self.nodes:
-            raise IndexError(f"node {node} out of range [0, {self.nodes})")
-        if node in self._crashed:
-            return
-        self._crashed[node] = self.sim.now
-        self._probing.discard(node)
-        prober = self._probers.get(node)
-        if prober is not None and prober.is_alive:
-            prober.interrupt("crashed")
-
     def restore(self, node: int) -> HealthEvent:
-        """Repair finished: node rejoins at a fresh incarnation that
-        overrides any death rumour still circulating."""
+        """Repair finished: node probes again in its own slot, at a fresh
+        incarnation that overrides any death rumour still circulating."""
         event = self._transition(node, NodeHealthState.HEALTHY, "restored")
         rebooted = self._crashed.pop(node, None) is not None
         if rebooted:
@@ -275,13 +227,6 @@ class GossipMonitor(MembershipMonitor):
         # re-drive the membership machine (the supervisor just did).
         self._winning[node] = (GossipStatus.ALIVE, incarnation)
         self._create_update(node, node, GossipStatus.ALIVE, incarnation)
-        if self.spec.heartbeat_slots is not None:
-            self._probing.add(node)
-        else:
-            prober = self._probers.get(node)
-            if prober is None or not prober.is_alive:
-                self._spawn_prober(node)
-            self._probing.add(node)
         return event
 
     # -- metrics -----------------------------------------------------------
@@ -334,56 +279,9 @@ class GossipMonitor(MembershipMonitor):
 
     # -- probe scheduling --------------------------------------------------
 
-    def _spawn_prober(self, node: int) -> None:
-        self._probers[node] = self.sim.process(
-            self._prober_body(node), name=f"gs.loop{node}")
-
-    def _prober_body(self, node: int) -> Generator[Event, Any, None]:
-        """Process body: one probe round per period, staggered per node
-        so the fleet's probes do not collide on the fabric."""
-        interval = self.spec.heartbeat_interval
-        phase = interval * (node + 1) / (self.nodes + 1)
-        try:
-            yield self.sim.timeout(phase)
-            while True:
-                self._launch_probe(node)
-                yield self.sim.timeout(interval)
-        except Interrupt:
-            return
-
-    def _slot_driver_body(self) -> Generator[Event, Any, None]:
-        """Process body: one timer wheel driving the whole fleet's probe
-        rounds (same discipline as the slotted heartbeat sender: S
-        evenly-spaced ticks per period, node n probes in slot n % S,
-        slot targets recomputed from the cycle index so float error
-        cannot drift the schedule)."""
-        interval = self.spec.heartbeat_interval
-        slots = self.spec.heartbeat_slots
-        if slots is None:  # pragma: no cover - start() gates on the spec
-            raise RuntimeError("slot driver requires heartbeat_slots")
-        spacing = interval / (slots + 1)
-        base = self.sim.now
-        probing = self._probing
-        slot_nodes = self._slot_nodes
-        cycle = 0
-        try:
-            while True:
-                start = base + cycle * interval
-                for s in range(slots):
-                    delay = (start + spacing * (s + 1)) - self.sim.now
-                    if delay > 0.0:
-                        yield self.sim.timeout(delay)
-                    for node in slot_nodes[s]:
-                        if node in probing:
-                            self._launch_probe(node)
-                cycle += 1
-        except Interrupt:
-            return
-
-    def _launch_probe(self, node: int) -> None:
-        """Start one probe round for ``node`` (no-op with no target)."""
-        if node in self._crashed:
-            return
+    def _tick(self, node: int) -> None:
+        """Slot-driver hook: start one probe round for ``node`` (no-op
+        with no target)."""
         target = self._next_target(node)
         if target is None:
             return

@@ -1,10 +1,12 @@
 """The heartbeat monitor: failure detection *through the fabric*.
 
-One sender process per node emits a small heartbeat transfer to the
-monitor host every ``heartbeat_interval`` seconds — through the same
-:class:`~repro.network.fabric.Fabric` the application uses, so link
+Every node emits a small heartbeat transfer to the monitor host every
+``heartbeat_interval`` seconds, in its slot of the interval, through the
+same :class:`~repro.network.fabric.Fabric` the application uses, so link
 outages, congestion, drops, and partitions delay or lose heartbeats
-exactly as they would real ones.  A periodic checker polls the pluggable
+exactly as they would real ones.  One slot-driver process schedules the
+whole fleet's beats (the same driver runs gossip's probe rounds, see
+:class:`MembershipMonitor`).  A periodic checker polls the pluggable
 :class:`~repro.health.detectors.FailureDetector` and drives the
 :class:`~repro.health.state.Membership` state machine: silence earns
 ``SUSPECTED``, prolonged silence ``DEAD``, resumed heartbeats refute a
@@ -18,14 +20,15 @@ on a lie — which is exactly what the detection-driven campaign mode in
 :mod:`repro.fault.campaign` proves.
 
 Ground truth (which nodes actually crashed, via :meth:`HeartbeatMonitor.
-crash`) is recorded *only* for metrics — mean time-to-detect and the
-false-positive counters — never consulted by the detection path.
+crash`) silences the crashed node's own beats and feeds the metrics —
+mean time-to-detect and the false-positive counters — but the detection
+path never consults it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, ClassVar, Dict, Generator, List, Optional, Tuple
 
 from repro.health.detectors import (
     FailureDetector,
@@ -74,16 +77,16 @@ class DetectionSpec:
     ``probe_timeout``/``retransmit_factor`` knobs are gossip-only and
     ignored by the central monitor.
 
-    ``heartbeat_slots`` selects the sender scheduling discipline.
-    ``None`` (the default) runs the legacy one-process-per-node senders,
-    each staggered to its own phase — byte-compatible with every
-    recorded E21 outcome.  An integer ``S`` switches to *slotted*
-    scheduling: one driver process services ``S`` evenly-spaced slots
-    per interval, node ``n`` beats in slot ``n % S``, so the engine
-    sees ``S`` timer events per interval instead of one per node — the
-    timer-wheel discipline that makes 10^4-node monitoring tractable.
-    Nodes sharing a slot beat at the same instant (deliberately: the
-    calendar queue delivers a same-instant batch in one walk).
+    ``heartbeat_slots`` is the number ``S`` of evenly-spaced slots per
+    interval that one driver process walks; node ``n`` beats (or
+    probes) in slot ``n % S``.  ``None`` (the default) means one slot
+    per node, so node ``n`` keeps its own phase
+    ``interval * (n + 1) / (nodes + 1)``: the one-probe-per-member-per-
+    period discipline of SWIM.  A smaller ``S`` has the engine service
+    ``S`` timer events per interval instead of one per node, which is
+    what makes 10^4-node monitoring tractable.  Nodes sharing a slot
+    beat at the same instant (deliberately: the calendar queue delivers
+    a same-instant batch in one walk).
     """
 
     detector: str = "fixed"
@@ -231,18 +234,21 @@ class MembershipMonitor:
     (:class:`HeartbeatMonitor`) or decentralized
     (:class:`~repro.health.gossip.GossipMonitor`): the epoch'd
     :class:`~repro.health.state.Membership` machine, ground-truth crash
-    bookkeeping (metrics only, never consulted by detection), the death
-    declaration queue + notice event, traffic counters, and the
-    supervisor surface (:meth:`repair`, :meth:`drain`,
-    :meth:`pop_deaths`, :meth:`outcome`, …).  Subclasses implement
-    :meth:`start`/:meth:`stop` (spawn their protocol processes),
-    :meth:`crash` and :meth:`restore`.
+    bookkeeping (never consulted by detection), the death declaration
+    queue + notice event, traffic counters, the supervisor surface
+    (:meth:`crash`, :meth:`repair`, :meth:`drain`, :meth:`pop_deaths`,
+    :meth:`outcome`, …) and the one slot driver that schedules every
+    node's periodic work.  Subclasses implement :meth:`_tick` (one
+    node's heartbeat or probe round) and :meth:`restore`.
 
     ``heartbeats_sent``/``lost``/``delivered`` count *detector messages
     on the fabric* — heartbeats for the central monitor, pings, acks and
     ping-reqs for gossip — so bytes-on-wire comparisons between the two
     designs read off the same counters.
     """
+
+    #: Process name of the slot driver.
+    _driver_name: ClassVar[str]
 
     def __init__(self, sim: Simulator, fabric: Fabric, nodes: int,
                  spec: Optional[DetectionSpec] = None) -> None:
@@ -266,27 +272,42 @@ class MembershipMonitor:
         self.heartbeats_sent = 0
         self.heartbeats_lost = 0
         self.heartbeats_delivered = 0
+        #: Ground truth: crashed node -> crash time.  The slot driver skips
+        #: these nodes (a dead node sends nothing) by membership test, so
+        #: dict order cannot leak into the schedule.
         self._crashed: Dict[int, float] = {}
         self._death_event: Event = sim.event("node-death")
         self._death_event.defused = True
         self._started = False
+        self._slot_driver: Optional[Process] = None
 
-    # -- lifecycle (subclass responsibility) -------------------------------
+    # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the detector's simulator processes."""
-        raise NotImplementedError
+        """Spawn the slot driver that runs every node's periodic work."""
+        if self._started:
+            raise RuntimeError("monitor already started")
+        self._started = True
+        self._slot_driver = self.sim.process(
+            self._slot_driver_body(), name=self._driver_name)
 
     def stop(self) -> None:
-        """Interrupt every live detector process (clean shutdown)."""
-        raise NotImplementedError
+        """Interrupt every live monitor process (clean shutdown so open
+        spans close and the queue can quiesce)."""
+        if self._slot_driver is not None and self._slot_driver.is_alive:
+            self._slot_driver.interrupt("monitor-stop")
 
     # -- supervisor surface ------------------------------------------------
 
     def crash(self, node: int) -> None:
-        """Ground truth: ``node`` just died (recorded for MTTD metrics;
-        detection itself must come from the protocol)."""
-        raise NotImplementedError
+        """Ground truth: ``node`` just died.  Its periodic work stops and
+        the time is recorded for MTTD metrics; detection itself must come
+        from the protocol, never from here."""
+        if not 0 <= node < self.nodes:
+            raise IndexError(f"node {node} out of range [0, {self.nodes})")
+        if node in self._crashed:
+            return
+        self._crashed[node] = self.sim.now
 
     def restore(self, node: int) -> HealthEvent:
         """Repair finished: bring ``node`` back to HEALTHY service."""
@@ -405,9 +426,48 @@ class MembershipMonitor:
         notice.succeed(record)
         return record
 
+    def _tick(self, node: int) -> None:
+        """Slot-driver hook: ``node``'s periodic work for one interval."""
+        raise NotImplementedError
+
+    def _slot_driver_body(self) -> Generator[Event, Any, None]:
+        """Process body: one timer wheel for the whole fleet.
+
+        Each interval is divided into ``S`` evenly-spaced ticks
+        (``heartbeat_slots``, or one per node when unset); every tick
+        calls :meth:`_tick` for each live node in that slot (node ``n``
+        is in slot ``n % S``), so the engine services ``S`` timer events
+        per interval and each tick's work lands on the calendar queue as
+        one same-instant batch.  Slot targets are recomputed from the
+        cycle index every interval (not accumulated), so float error
+        does not drift the schedule, and a restored node rejoins its own
+        slot.
+        """
+        interval = self.spec.heartbeat_interval
+        nodes = self.nodes
+        slots = self.spec.heartbeat_slots or nodes
+        spacing = interval / (slots + 1)
+        base = self.sim.now
+        crashed = self._crashed
+        tick = self._tick
+        cycle = 0
+        try:
+            while True:
+                start = base + cycle * interval
+                for s in range(slots):
+                    delay = (start + spacing * (s + 1)) - self.sim.now
+                    if delay > 0.0:
+                        yield self.sim.timeout(delay)
+                    for node in range(s, nodes, slots):
+                        if node not in crashed:
+                            tick(node)
+                cycle += 1
+        except Interrupt:
+            return
+
 
 class HeartbeatMonitor(MembershipMonitor):
-    """Runs heartbeat senders and the detection checker on a simulator.
+    """Runs the heartbeat slot driver and the detection checker.
 
     Lifecycle: construct, :meth:`start`, then drive the simulator (the
     monitor's processes keep the event queue non-empty forever — use
@@ -418,6 +478,8 @@ class HeartbeatMonitor(MembershipMonitor):
     :meth:`restore` to bring the node back.
     """
 
+    _driver_name = "hb.slots"
+
     def __init__(self, sim: Simulator, fabric: Fabric, nodes: int,
                  spec: Optional[DetectionSpec] = None) -> None:
         super().__init__(sim, fabric, nodes, spec)
@@ -425,140 +487,41 @@ class HeartbeatMonitor(MembershipMonitor):
             raise ValueError(
                 f"monitor_host {self.spec.monitor_host} not a fabric host")
         self.detector = self.spec.build_detector()
-        self._senders: Dict[int, Process] = {}
         self._checker: Optional[Process] = None
-        #: Slotted mode: nodes whose heartbeats are currently live, and the
-        #: static node->slot assignment (node n beats in slot n % S).  The
-        #: set is membership-tested only, never iterated, so it cannot leak
-        #: hash order into the schedule.
-        self._beating: Set[int] = set()
-        self._slot_nodes: List[List[int]] = []
-        self._slot_driver: Optional[Process] = None
-        slots = self.spec.heartbeat_slots
-        if slots is not None:
-            self._slot_nodes = [[] for _ in range(slots)]
-            for node in range(nodes):
-                self._slot_nodes[node % slots].append(node)
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Seed the detector and spawn sender + checker processes."""
-        if self._started:
-            raise RuntimeError("monitor already started")
-        self._started = True
+        """Spawn the slot driver, seed the detector and spawn the
+        checker."""
+        super().start()
         now = self.sim.now
-        slotted = self.spec.heartbeat_slots is not None
         for node in range(self.nodes):
             self.detector.reset(node, now)
-            if slotted:
-                self._beating.add(node)
-            else:
-                self._spawn_sender(node)
-        if slotted:
-            self._slot_driver = self.sim.process(
-                self._slot_driver_body(), name="hb.slots")
         self._checker = self.sim.process(self._check_body(), name="hb.check")
 
     def stop(self) -> None:
-        """Interrupt every live monitor process (clean shutdown so open
-        spans close and the queue can quiesce)."""
-        for process in self._senders.values():
-            if process.is_alive:
-                process.interrupt("monitor-stop")
-        if self._slot_driver is not None and self._slot_driver.is_alive:
-            self._slot_driver.interrupt("monitor-stop")
+        """Interrupt the slot driver and the checker."""
+        super().stop()
         if self._checker is not None and self._checker.is_alive:
             self._checker.interrupt("monitor-stop")
 
     # -- supervisor surface ------------------------------------------------
 
-    def crash(self, node: int) -> None:
-        """Ground truth: ``node`` just died.  Stops its heartbeat sender
-        and records the time for MTTD metrics — detection itself must
-        come from the checker, never from here."""
-        if not 0 <= node < self.nodes:
-            raise IndexError(f"node {node} out of range [0, {self.nodes})")
-        if node in self._crashed:
-            return
-        self._crashed[node] = self.sim.now
-        self._beating.discard(node)
-        sender = self._senders.get(node)
-        if sender is not None and sender.is_alive:
-            sender.interrupt("crashed")
-
     def restore(self, node: int) -> HealthEvent:
         """Repair finished: node back to HEALTHY, detector history reset,
-        heartbeats restarted (a falsely-declared node's sender survived
-        and is reused)."""
+        heartbeats resumed in the node's own slot."""
         event = self._transition(node, NodeHealthState.HEALTHY, "restored")
         self._crashed.pop(node, None)
         self.detector.reset(node, self.sim.now)
-        if self.spec.heartbeat_slots is not None:
-            self._beating.add(node)
-        else:
-            sender = self._senders.get(node)
-            if sender is None or not sender.is_alive:
-                self._spawn_sender(node)
         return event
 
     # -- internals ---------------------------------------------------------
 
-    def _spawn_sender(self, node: int) -> None:
-        self._senders[node] = self.sim.process(
-            self._sender_body(node), name=f"hb.send{node}")
-
-    def _sender_body(self, node: int) -> Generator[Event, Any, None]:
-        """Process body: emit one heartbeat per interval, staggered per
-        node so the fleet's heartbeats do not collide on the fabric."""
-        interval = self.spec.heartbeat_interval
-        phase = interval * (node + 1) / (self.nodes + 1)
-        try:
-            yield self.sim.timeout(phase)
-            while True:
-                self.heartbeats_sent += 1
-                self.sim.process(self._beat_body(node),
-                                 name=f"hb{node}")
-                yield self.sim.timeout(interval)
-        except Interrupt:
-            return
-
-    def _slot_driver_body(self) -> Generator[Event, Any, None]:
-        """Process body: one timer wheel for the whole fleet's heartbeats.
-
-        Each interval is divided into ``heartbeat_slots`` evenly-spaced
-        ticks; every tick emits the heartbeats of all live nodes assigned
-        to that slot.  The engine therefore services S timer events per
-        interval (vs one timeout *and one sender process* per node in
-        legacy mode), and each tick's beats land on the calendar queue as
-        one same-instant batch.  Slot targets are recomputed from the
-        cycle index every interval (not accumulated), so float error does
-        not drift the schedule.
-        """
-        interval = self.spec.heartbeat_interval
-        slots = self.spec.heartbeat_slots
-        if slots is None:  # pragma: no cover - start() gates on the spec
-            raise RuntimeError("slot driver requires heartbeat_slots")
-        spacing = interval / (slots + 1)
-        base = self.sim.now
-        beating = self._beating
-        slot_nodes = self._slot_nodes
-        cycle = 0
-        try:
-            while True:
-                start = base + cycle * interval
-                for s in range(slots):
-                    delay = (start + spacing * (s + 1)) - self.sim.now
-                    if delay > 0.0:
-                        yield self.sim.timeout(delay)
-                    for node in slot_nodes[s]:
-                        if node in beating:
-                            self.heartbeats_sent += 1
-                            self.sim.process(self._beat_body(node),
-                                             name=f"hb{node}")
-                cycle += 1
-        except Interrupt:
-            return
+    def _tick(self, node: int) -> None:
+        """Slot-driver hook: emit one heartbeat from ``node``."""
+        self.heartbeats_sent += 1
+        self.sim.process(self._beat_body(node), name=f"hb{node}")
 
     def _beat_body(self, node: int) -> Generator[Event, Any, None]:
         """Process body: one heartbeat transfer node -> monitor host.

@@ -303,71 +303,23 @@ class Fabric:
 
         Use as ``yield from fabric.transfer(...)`` inside a process, or
         wrap with ``sim.process`` for a standalone transfer.  Returns the
-        completion time.
+        completion time; cost model and fault handling are
+        :meth:`transfer_ex`'s.
         """
-        if self.fault_plan is not None:
-            outcome = yield from self.transfer_ex(src, dst, nbytes)
-            return outcome.end
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        if not 0 <= src < self.topology.hosts:
-            raise IndexError(f"src {src} out of range")
-        if not 0 <= dst < self.topology.hosts:
-            raise IndexError(f"dst {dst} out of range")
-        start = self.sim.now
-        params = self.technology.loggp
-
-        with self.sim.obs.span("fabric.transfer", src=src, dst=dst,
-                               nbytes=nbytes):
-            if src == dst:
-                # Intra-host handoff: CPU overhead plus a memcpy.
-                yield self.sim.timeout(params.overhead
-                                       + nbytes / _LOCAL_COPY_BANDWIDTH)
-                self._finish(src, dst, nbytes, start, hops=0)
-                return self.sim.now
-
-            if (self.technology.is_circuit_switched
-                    and (src, dst) not in self._circuits):
-                # First use of this pair: optics must set up the circuit.
-                yield self.sim.timeout(self.technology.circuit_setup_seconds)
-                self._circuits.add((src, dst))
-
-            route = self._routes.route(src, dst)
-            hops = len(route)
-            serialization = max(params.gap, nbytes * params.gap_per_byte)
-            propagation = (params.latency
-                           + max(0, hops - 1) * self.technology.hop_latency)
-
-            # Sender-side CPU overhead.
-            yield self.sim.timeout(params.overhead)
-
-            if self.contention:
-                held = self._acquire_order(src, route)
-                for resource in held:
-                    yield resource.request()
-                yield self.sim.timeout(serialization)
-                for resource in held:
-                    resource.release()
-            else:
-                yield self.sim.timeout(serialization)
-
-            # Pipeline latency plus receiver overhead.
-            yield self.sim.timeout(propagation + params.overhead)
-            self._finish(src, dst, nbytes, start, hops)
-            return self.sim.now
+        return (yield from self.transfer_ex(src, dst, nbytes)).end
 
     def transfer_ex(self, src: int, dst: int,
                     nbytes: int) -> Generator[Any, Any, "TransferOutcome"]:
         """Fault-aware transfer process body.
 
-        Same cost model as :meth:`transfer` but consults the fault plan:
-        re-routes around down elements (paying the degraded route's hop
-        cost), raises :class:`NetworkUnreachable` when no path survives,
-        raises :class:`TransferDropped` when the message is lost (an
-        element on the route went down mid-serialization, or the random
-        drop draw fired), and flags corruption in the returned
-        :class:`TransferOutcome` — the end-to-end check is the caller's
-        job, as on a real wire.
+        Runs the cost model in the module docstring and, with a fault
+        plan, consults it: re-routes around down elements (paying the
+        degraded route's hop cost), raises :class:`NetworkUnreachable`
+        when no path survives, raises :class:`TransferDropped` when the
+        message is lost (an element on the route went down
+        mid-serialization, or the random drop draw fired), and flags
+        corruption in the returned :class:`TransferOutcome` — the
+        end-to-end check is the caller's job, as on a real wire.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
@@ -382,6 +334,7 @@ class Fabric:
 
         with obs.span("fabric.transfer", src=src, dst=dst, nbytes=nbytes):
             if src == dst:
+                # Intra-host handoff: CPU overhead plus a memcpy.
                 yield self.sim.timeout(params.overhead
                                        + nbytes / _LOCAL_COPY_BANDWIDTH)
                 self._finish(src, dst, nbytes, start, hops=0)
@@ -390,6 +343,7 @@ class Fabric:
 
             if (self.technology.is_circuit_switched
                     and (src, dst) not in self._circuits):
+                # First use of this pair: optics must set up the circuit.
                 yield self.sim.timeout(self.technology.circuit_setup_seconds)
                 self._circuits.add((src, dst))
 
@@ -485,6 +439,7 @@ class Fabric:
                         obs.metrics.counter("fabric.corruptions").inc()
                         corrupted = True
 
+            # Pipeline latency plus receiver overhead.
             yield self.sim.timeout(propagation + params.overhead)
             self._finish(src, dst, nbytes, start, hops)
             return TransferOutcome(end=self.sim.now, hops=hops,

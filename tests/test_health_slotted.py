@@ -1,19 +1,26 @@
-"""Slotted heartbeat scheduling: one timer wheel for the whole fleet.
+"""The slot driver: one timer wheel for the whole fleet.
 
-``DetectionSpec.heartbeat_slots`` replaces N per-node sender processes
-with a single driver that walks S phase slots per interval and fires
-the beats of every live node in each slot.  That is an engine-load
-optimisation, not a semantic change — these tests pin the equivalence:
-same detections as the legacy per-node mode, deterministic across
-runs, correct crash/restore behaviour, and strictly fewer engine
-events at fleet scale.
+Every monitor schedules its periodic work through one driver process
+that walks S phase slots per interval and runs the beat (or probe
+round) of every live node in each slot.  ``DetectionSpec.heartbeat_slots``
+sets S; unset, each node gets its own slot.  Sharing slots is an
+engine-load optimisation, not a semantic change — these tests pin the
+equivalence: the same detections with a few shared slots as with one
+slot per node, deterministic across runs, correct crash/restore
+behaviour (a restored node rejoins its own slot of the cycle that began
+at ``start()``), and strictly fewer engine events at fleet scale.
 """
 
 import pytest
 
-from repro.health import DetectionSpec, HeartbeatMonitor, NodeHealthState
+from repro.health import (
+    DetectionSpec,
+    GossipMonitor,
+    HeartbeatMonitor,
+    NodeHealthState,
+)
 from repro.network import Fabric, FabricFaultPlan, get_interconnect
-from repro.sim import Simulator
+from repro.sim import RandomStreams, Simulator
 from tests.conftest import small_fat_tree
 
 HB = 1e-4
@@ -21,7 +28,7 @@ HB = 1e-4
 
 def make_monitor(plan=None, nodes=4, topology=None, **spec_kwargs):
     """Monitor over a fat tree on gigabit ethernet; pass
-    ``heartbeat_slots`` to get the slotted sender."""
+    ``heartbeat_slots`` to share slots between nodes."""
     sim = Simulator()
     fabric = Fabric(sim, topology or small_fat_tree(),
                     get_interconnect("gigabit_ethernet"), fault_plan=plan)
@@ -68,15 +75,15 @@ class TestSpecValidation:
 
 
 class TestDetectionEquivalence:
-    def test_crash_detected_like_legacy(self):
+    def test_crash_detected_like_one_slot_per_node(self):
         slotted = _campaign(lambda: make_monitor(heartbeat_slots=2))
-        legacy = _campaign(lambda: make_monitor())
-        assert slotted["deaths"] == legacy["deaths"] == [(2, False)]
+        per_node = _campaign(lambda: make_monitor())
+        assert slotted["deaths"] == per_node["deaths"] == [(2, False)]
         assert slotted["state2"] is NodeHealthState.HEALTHY
 
     def test_false_positive_under_partition(self):
-        """A severed access link silences node 1's beats in slotted mode
-        exactly as in legacy mode: a false death."""
+        """A severed access link silences node 1's beats with shared
+        slots exactly as with one slot per node: a false death."""
         plan = FabricFaultPlan().link_down(("h", 1), ("s", 0),
                                            6e-4, 6e-4 + 1e-3)
         sim, monitor = make_monitor(plan=plan, heartbeat_slots=2)
@@ -99,11 +106,11 @@ class TestDeterminism:
         second = _campaign(lambda: make_monitor(heartbeat_slots=4))
         assert first == second
 
-    def test_membership_transitions_match_legacy(self):
+    def test_membership_transitions_match_one_slot_per_node(self):
         """The health state machine sees the same transition sequence
-        for the crashed node, whichever sender drives the beats.
-        (Timestamps may shift inside one interval because slot phases
-        differ from the legacy per-node phases.)"""
+        for the crashed node, however many slots the beats share.
+        (Timestamps may shift inside one interval because shared slot
+        phases differ from the per-node phases.)"""
         transitions = {}
         for slots in (None, 2):
             sim, monitor = make_monitor(heartbeat_slots=slots)
@@ -154,7 +161,7 @@ class TestCrashRestore:
 
 class TestEngineLoad:
     def test_slotted_mode_schedules_fewer_events(self):
-        """At fleet scale the single driver beats N sender processes:
+        """At fleet scale 8 shared slots beat one slot per node:
         strictly fewer engine events for the same horizon."""
         from repro.network import FatTreeTopology
         counts = {}
@@ -171,8 +178,8 @@ class TestEngineLoad:
             assert monitor.deaths == []
         assert counts[8] < counts[None]
 
-    def test_beat_counters_comparable_to_legacy(self):
-        """Both modes send roughly interval-rate beats per node."""
+    def test_beat_counters_comparable_to_one_slot_per_node(self):
+        """Both slot counts send roughly interval-rate beats per node."""
         sent = {}
         for slots in (None, 4):
             sim, monitor = make_monitor(heartbeat_slots=slots)
@@ -180,3 +187,64 @@ class TestEngineLoad:
             sent[slots] = monitor.heartbeats_sent
         # 4 nodes x ~50 intervals; allow one interval of phase slack.
         assert sent[4] == pytest.approx(sent[None], rel=0.1)
+
+
+class TestRestoreRejoinsOwnSlot:
+    """A restored node's periodic work lands on its own slot of the cycle
+    that began at ``start()``: with one slot per node, node ``n`` of 4
+    acts at ``k * interval + interval * (n + 1) / 5`` for every cycle
+    ``k``, whenever it was restored.  The restores here come 40.37
+    intervals after the start, off that grid, so a rule that restarted
+    the node's phase at the restore instant would move every later time
+    by 0.37 of an interval."""
+
+    def test_restored_heartbeats_land_on_the_start_grid(self):
+        sim = Simulator()
+        fabric = Fabric(sim, small_fat_tree(),
+                        get_interconnect("gigabit_ethernet"),
+                        record_transfers=True)
+        monitor = HeartbeatMonitor(sim, fabric, 4, spec=DetectionSpec(
+            detector="fixed", heartbeat_interval=HB,
+            suspect_after=3 * HB, dead_after=6 * HB))
+        monitor.start()
+        sim.run(until=2e-3)
+        monitor.crash(2)
+        sim.run(until=4.037e-3)
+        assert monitor.membership.state_of(2) is NodeHealthState.DEAD
+        monitor.repair(2)
+        monitor.restore(2)
+        sim.run(until=4.6e-3)
+        starts = [r.start for r in fabric.records
+                  if r.src == 2 and r.start > 4.037e-3]
+        # Node 2 beats at 4,060 us, 4,160 us, ... and at no other time.
+        assert len(starts) >= 4
+        assert starts == pytest.approx(
+            [k * HB + 3 * HB / 5 for k in range(40, 40 + len(starts))],
+            rel=0, abs=1e-12)
+
+    def test_restored_gossip_probes_land_on_the_start_grid(self):
+        period = 1e-3
+        sim = Simulator()
+        fabric = Fabric(sim, small_fat_tree(),
+                        get_interconnect("gigabit_ethernet"),
+                        record_transfers=True)
+        monitor = GossipMonitor(sim, fabric, 4, spec=DetectionSpec(
+            detector="gossip", heartbeat_interval=period,
+            suspect_after=3 * period, dead_after=6 * period),
+            streams=RandomStreams(3))
+        monitor.start()
+        sim.run(until=20e-3)
+        monitor.crash(2)
+        sim.run(until=40.37e-3)
+        assert monitor.membership.state_of(2) is NodeHealthState.DEAD
+        monitor.repair(2)
+        monitor.restore(2)
+        sim.run(until=45e-3)
+        # Node 2 also acks and relays for its peers; its own pings start
+        # at 40.6 ms, 41.6 ms, ...
+        starts = [r.start for r in fabric.records
+                  if r.src == 2 and r.start > 40.37e-3]
+        for cycle in range(40, 44):
+            expected = cycle * period + 3 * period / 5
+            assert any(start == pytest.approx(expected, rel=0, abs=1e-12)
+                       for start in starts), (expected, starts)
