@@ -27,11 +27,11 @@ Public surface
     (:func:`~repro.sim.detsan.first_divergence`).
 :class:`Interrupt`
     Exception injected into a process by ``Process.interrupt``.
-:class:`FailureCause`, :class:`LinkDownCause`, :class:`AbortCause`
+:class:`FailureCause`, :class:`AbortCause`
     Structured interrupt causes (tuple-compatible) used by fault injection.
 """
 
-from repro.sim.causes import AbortCause, FailureCause, LinkDownCause
+from repro.sim.causes import AbortCause, FailureCause
 from repro.sim.detsan import (
     DetSanRecorder,
     Divergence,
@@ -43,7 +43,6 @@ from repro.sim.event import AllOf, AnyOf, Event, EventStatus, Timeout
 from repro.sim.engine import Interrupt, Process, SimulationError, Simulator
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import NullTracer, RecordingTracer, TraceRecord
 
 __all__ = [
     "AbortCause",
@@ -58,15 +57,11 @@ __all__ = [
     "FailureCause",
     "HeapEventQueue",
     "Interrupt",
-    "LinkDownCause",
-    "NullTracer",
     "Process",
     "RandomStreams",
-    "RecordingTracer",
     "Resource",
     "SimulationError",
     "Simulator",
     "Store",
     "Timeout",
-    "TraceRecord",
 ]

@@ -9,8 +9,6 @@ named fields and a taxonomy:
 
 * :class:`FailureCause` — a node/process failure injected by a
   :class:`~repro.fault.injection.FaultInjector` or a campaign;
-* :class:`LinkDownCause` — a network element (link or switch) going
-  down, used when transfers or monitors are interrupted by the fabric;
 * :class:`AbortCause` — collateral teardown: the job is being torn
   down because some *other* rank failed (coordinated restart).
 
@@ -20,9 +18,9 @@ pinned by tests.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
-__all__ = ["FailureCause", "LinkDownCause", "AbortCause"]
+__all__ = ["FailureCause", "AbortCause"]
 
 
 class FailureCause(NamedTuple):
@@ -38,20 +36,6 @@ class FailureCause(NamedTuple):
     def numbered(cls, index: int) -> "FailureCause":
         """The canonical cause for the ``index``-th injected failure."""
         return cls("failure", index)
-
-
-class LinkDownCause(NamedTuple):
-    """A network element went down (``link`` is a canonical edge or a
-    switch node); compares equal to ``("link-down", link, index)``."""
-
-    kind: str
-    link: Any
-    index: int
-
-    @classmethod
-    def numbered(cls, link: Any, index: int) -> "LinkDownCause":
-        """The canonical cause for the ``index``-th link-down event."""
-        return cls("link-down", link, index)
 
 
 class AbortCause(NamedTuple):

@@ -102,10 +102,12 @@ class DetSanRecorder:
              event: Any) -> None:
         """Fold one about-to-be-delivered event into the digest.
 
-        Called by :meth:`repro.sim.engine.Simulator.step` *before*
-        delivery, so the record stream captures the decision order, not
-        its side effects.  ``event`` is duck-typed (``name``,
-        ``_callbacks``) to keep this module import-light.
+        Called by ``Simulator._dispatch`` — the delivery path of both
+        :meth:`~repro.sim.engine.Simulator.step` and the general loop
+        of :meth:`~repro.sim.engine.Simulator.run` — *before* delivery,
+        so the record stream captures the decision order, not its side
+        effects.  ``event`` is duck-typed (``name``, ``_callbacks``) to
+        keep this module import-light.
         """
         processes = _resumed_processes(event)
         kind = type(event).__name__

@@ -15,11 +15,14 @@ oracle and perf baseline.  The tie-break contract — pop order is
 exactly ``(when, priority, seq)`` — is what the equivalence suite in
 ``tests/test_engine_queue_equivalence.py`` pins down across both.
 
-When nothing is watching (no tracer, no observability, no DetSan), the
-run loop drops into a *plain-mode* fast path that walks the calendar
-queue's batches inline and recycles fire-and-forget :class:`Timeout`
-objects through a free pool — same deliveries in the same order, with
-the per-event bookkeeping compiled down to a few dict/list operations.
+When nothing is watching (no observability, no DetSan) and the queue
+is the calendar queue, the run loop drops into a *plain-mode* fast path
+that walks the queue's batches inline and recycles fire-and-forget
+:class:`Timeout` objects through a free pool — same deliveries in the
+same order, with the per-event bookkeeping compiled down to a few
+dict/list operations.  Plain mode is fixed when the simulator is built.
+A :class:`~repro.sim.detsan.DetSanRecorder` is the one recorder that
+sees every delivery.
 
 Processes are plain generators.  Each ``yield`` hands the engine an
 :class:`~repro.sim.event.Event`; the engine resumes the generator with the
@@ -64,7 +67,6 @@ from repro.sim.event import (
     Timeout,
     _timeout_name,
 )
-from repro.sim.trace import NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; no runtime dependency
     from repro.sim.detsan import DetSanRecorder
@@ -268,9 +270,6 @@ class Simulator:
 
     Parameters
     ----------
-    tracer:
-        Optional :class:`~repro.sim.trace.Tracer`; defaults to the no-op
-        tracer so hot paths stay cheap.
     obs:
         Optional :class:`~repro.obs.Observability`; defaults to the
         shared null instance.  When given, the simulator binds its clock
@@ -278,7 +277,8 @@ class Simulator:
     detsan:
         Optional :class:`~repro.sim.detsan.DetSanRecorder`.  When given,
         every delivered event folds its scheduling decision into the
-        recorder's rolling digest (the determinism sanitizer).  When
+        recorder's rolling digest and record log (the determinism
+        sanitizer, and the engine's per-event stream).  When
         ``None`` — the default — the only cost is one ``is not None``
         check per event on the instrumented path, and nothing at all on
         the plain-mode fast path.
@@ -289,8 +289,7 @@ class Simulator:
         differential-testing oracle and the perf baseline.
     """
 
-    def __init__(self, tracer: Optional[Tracer] = None,
-                 obs: Optional[Observability] = None,
+    def __init__(self, obs: Optional[Observability] = None,
                  detsan: Optional["DetSanRecorder"] = None,
                  queue: Optional[str] = None) -> None:
         kind = queue if queue is not None else DEFAULT_QUEUE
@@ -311,7 +310,6 @@ class Simulator:
         # allocation-dependent instant, and GeneratorExit closes its open
         # spans with GC-dependent timing — breaking trace byte-identity.
         self._live_processes: Dict[Process, None] = {}
-        self._tracer: Tracer = tracer if tracer is not None else NullTracer()
         self.obs: Observability = obs if obs is not None else NULL_OBS
         # Cached flag: hot paths branch on a plain attribute, never a
         # method call, so the disabled path stays within its overhead
@@ -321,15 +319,9 @@ class Simulator:
             self.obs.bind_clock(lambda: self._now)
         self._detsan = detsan
         self._event_count = 0
-        self._recompute_plain()
-
-    def _recompute_plain(self) -> None:
         # Plain mode: nothing observes individual deliveries, so run()
         # may use the inlined fast loop and recycle timeout objects.
-        self._plain = (self._wheel
-                       and self._detsan is None
-                       and type(self._tracer) is NullTracer
-                       and not self._obs_enabled)
+        self._plain = self._wheel and detsan is None and not self._obs_enabled
 
     # -- time ------------------------------------------------------------
 
@@ -352,18 +344,6 @@ class Simulator:
     def queue_kind(self) -> str:
         """Which queue implementation this simulator runs on."""
         return self._queue_kind
-
-    @property
-    def tracer(self) -> Tracer:
-        """The installed tracer (assignable; a real tracer disables the
-        plain-mode fast path so every delivery is recorded)."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, value: Tracer) -> None:
-        """Install a tracer, recomputing fast-path eligibility."""
-        self._tracer = value
-        self._recompute_plain()
 
     # -- factories -------------------------------------------------------
 
@@ -499,7 +479,6 @@ class Simulator:
             # Fold the scheduling decision *before* delivery so the
             # sanitizer stream captures decision order, not effects.
             self._detsan.fold(when, priority, seq, event)
-        self._tracer.record(when, event)
         event._deliver()
         if self._obs_enabled:
             # Delivery may have resumed a process (switching the span

@@ -11,7 +11,8 @@ and the pool capacity bound.
 
 import pytest
 
-from repro.sim import Interrupt, RecordingTracer, Simulator
+from repro.obs import Observability
+from repro.sim import DetSanRecorder, Interrupt, Simulator
 from repro.sim.event import _POOL_MAX, _TIMEOUT_POOL, Timeout
 
 
@@ -94,9 +95,15 @@ class TestRecycling:
         # recycle while `event` was live.
         assert seen == [1.0] * 5
 
-    def test_instrumented_mode_never_pools(self):
-        """Only the plain fast loop recycles: a traced run must not."""
-        sim = Simulator(tracer=RecordingTracer())
+    @pytest.mark.parametrize("make_sim", [
+        lambda: Simulator(detsan=DetSanRecorder()),
+        lambda: Simulator(obs=Observability()),
+        lambda: Simulator(queue="heap"),
+    ], ids=["detsan", "obs", "heap"])
+    def test_instrumented_mode_never_pools(self, make_sim):
+        """Only the plain fast loop recycles: a run with DetSan, with
+        recording observability or on the heap queue must not."""
+        sim = make_sim()
         for _ in range(20):
             sim.timeout(1.0)
         sim.run()

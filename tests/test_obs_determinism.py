@@ -13,23 +13,22 @@ from repro.messaging import CommConfig
 from repro.messaging.program import make_world
 from repro.network import FabricFaultPlan
 from repro.obs import Observability
-from repro.sim import RandomStreams, Simulator
-from repro.sim.trace import RecordingTracer
+from repro.sim import DetSanRecorder, RandomStreams, Simulator
 from tests.conftest import RING, drive_ring_exchange, make_summa_spec
 
 
 def lossy_ring_run(obs=None):
     """A fixed lossy ring exchange with every delivered event recorded;
     returns (event rows, payloads, final virtual time)."""
-    tracer = RecordingTracer()
-    sim = Simulator(tracer=tracer, obs=obs)
+    recorder = DetSanRecorder()
+    sim = Simulator(detsan=recorder, obs=obs)
     streams = RandomStreams(3)
     plan = FabricFaultPlan(drop_probability=0.3,
                            rng=streams.get("net.loss"))
     world = make_world(RING, sim=sim, config=CommConfig(reliable=True),
                       streams=streams, fault_plan=plan)
     got = drive_ring_exchange(world, rounds=3)
-    return tracer.records, got, sim.now
+    return recorder.records, got, sim.now
 
 
 class TestNullVersusRecording:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, RecordingTracer, Simulator
+from repro.sim import DetSanRecorder, Interrupt, Simulator
 from repro.sim.engine import SimulationError
 
 
@@ -44,8 +44,8 @@ class TestClock:
 class TestDeterminism:
     def test_same_seed_same_trace(self):
         def build():
-            tracer = RecordingTracer()
-            sim = Simulator(tracer=tracer)
+            recorder = DetSanRecorder()
+            sim = Simulator(detsan=recorder)
 
             def worker(sim, name, delay):
                 yield sim.timeout(delay)
@@ -54,7 +54,7 @@ class TestDeterminism:
             for i in range(20):
                 sim.process(worker(sim, f"w{i}", (i % 5) * 0.5), name=f"w{i}")
             sim.run()
-            return [(r.time, r.name) for r in tracer.records]
+            return [(r.time, r.name) for r in recorder.records]
 
         assert build() == build()
 
@@ -234,23 +234,15 @@ class TestInterrupt:
         assert victim.value == ["first", "second"]
 
 
-class TestTracer:
+class TestEventRecords:
     def test_records_event_stream(self):
-        tracer = RecordingTracer()
-        sim = Simulator(tracer=tracer)
+        recorder = DetSanRecorder()
+        sim = Simulator(detsan=recorder)
 
         def body(sim):
             yield sim.timeout(1.0)
 
         sim.process(body(sim), name="traced")
         sim.run()
-        assert any("timeout" in name for name in tracer.names())
-        assert all(r.time >= 0 for r in tracer.records)
-
-    def test_limit_respected(self):
-        tracer = RecordingTracer(limit=5)
-        sim = Simulator(tracer=tracer)
-        for _ in range(50):
-            sim.timeout(1.0)
-        sim.run()
-        assert len(tracer.records) == 5
+        assert any("timeout" in r.name for r in recorder.records)
+        assert all(r.time >= 0 for r in recorder.records)

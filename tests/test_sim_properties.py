@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import RecordingTracer, Resource, Simulator, Store
+from repro.sim import DetSanRecorder, Resource, Simulator, Store
 
 
 @st.composite
@@ -18,12 +18,12 @@ class TestTimeMonotonicity:
     @given(delay_lists())
     @settings(max_examples=50, deadline=None)
     def test_delivery_times_never_decrease(self, delays):
-        tracer = RecordingTracer()
-        sim = Simulator(tracer=tracer)
+        recorder = DetSanRecorder()
+        sim = Simulator(detsan=recorder)
         for delay in delays:
             sim.timeout(delay)
         sim.run()
-        times = [record.time for record in tracer.records]
+        times = [record.time for record in recorder.records]
         assert times == sorted(times)
         assert sim.now == max(delays)
 
