@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "SummaryStats",
@@ -54,10 +53,12 @@ def summarize(samples: Sequence[float],
         return SummaryStats(mean=mean, std=0.0, count=1,
                             ci_low=mean, ci_high=mean,
                             confidence=confidence)
+    # Imported here: scipy costs more to import than the rest of repro.
+    from scipy import stats
+
     std = float(values.std(ddof=1))
     halfwidth = (std / np.sqrt(values.size)
-                 * _scipy_stats.t.ppf((1 + confidence) / 2.0,
-                                      values.size - 1))
+                 * stats.t.ppf((1 + confidence) / 2.0, values.size - 1))
     return SummaryStats(
         mean=mean, std=std, count=int(values.size),
         ci_low=mean - float(halfwidth), ci_high=mean + float(halfwidth),

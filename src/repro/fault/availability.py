@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from scipy import stats as _scipy_stats
-
 from repro.health.monitor import DeathRecord
 from repro.health.spares import SparePool
 
@@ -82,9 +80,11 @@ def probability_at_least(usable: int, node_count: int,
         raise ValueError("usable must be non-negative")
     if usable > node_count:
         return 0.0
+    # Imported here: scipy costs more to import than the rest of repro.
+    from scipy import stats
+
     # P(X >= usable) = survival function at usable - 1.
-    return float(_scipy_stats.binom.sf(usable - 1, node_count,
-                                       availability))
+    return float(stats.binom.sf(usable - 1, node_count, availability))
 
 
 def spares_for_sla(required_nodes: int, availability: float,

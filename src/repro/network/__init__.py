@@ -8,7 +8,7 @@ and optical switching" as a defining force.  This package provides:
 * a catalog of :class:`InterconnectTechnology` entries spanning the era,
   Fast Ethernet through InfiniBand 12X and optical circuit switching;
 * topologies (single switch, two-level fat tree, torus, hypercube) built on
-  ``networkx``, with deterministic routing;
+  a plain adjacency map, with deterministic routing;
 * :class:`Fabric` — a contention-aware transport running inside the
   discrete-event simulator, used by the messaging layer.
 """

@@ -1,4 +1,4 @@
-"""Network topologies on ``networkx`` graphs.
+"""Network topologies on a plain undirected adjacency map.
 
 Four families cover the era's design space:
 
@@ -21,9 +21,7 @@ path — so simulated runs are reproducible.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterator, KeysView, List, Optional, Set, Tuple
 
 __all__ = [
     "Topology",
@@ -53,6 +51,59 @@ def canonical_link(a: Node, b: Node) -> Edge:
     return (a, b) if a <= b else (b, a)
 
 
+class _Graph:
+    """Undirected simple graph as an insertion-ordered adjacency map.
+
+    Only what the topologies and their callers use.  Adding a link that
+    already exists is a no-op, so a k=2 torus ring, which adds each of
+    its links twice, stores each once.
+    """
+
+    def __init__(self) -> None:
+        self._adj: Dict[Node, Dict[Node, None]] = {}
+
+    def add_node(self, node: Node) -> None:
+        """Add ``node`` with no links (no-op when present)."""
+        self._adj.setdefault(node, {})
+
+    def add_edge(self, a: Node, b: Node) -> None:
+        """Link ``a`` and ``b``, adding either node if new."""
+        self._adj.setdefault(a, {})[b] = None
+        self._adj.setdefault(b, {})[a] = None
+
+    def neighbors(self, node: Node) -> Iterator[Node]:
+        """Nodes linked to ``node``, in the order the links were added."""
+        return iter(self._adj[node])
+
+    def has_edge(self, a: Node, b: Node) -> bool:
+        """Whether ``a`` and ``b`` are linked (False for unknown nodes)."""
+        return b in self._adj.get(a, ())
+
+    def __contains__(self, node: object) -> bool:
+        return node in self._adj
+
+    @property
+    def nodes(self) -> KeysView[Node]:
+        """Every node, in insertion order."""
+        return self._adj.keys()
+
+    @property
+    def edges(self) -> List[Edge]:
+        """Every link once, as ``(node, neighbour)`` in insertion order."""
+        seen: Set[Node] = set()
+        edges: List[Edge] = []
+        for node, neighbours in self._adj.items():
+            for neighbour in neighbours:
+                if neighbour not in seen:
+                    edges.append((node, neighbour))
+            seen.add(node)
+        return edges
+
+    def number_of_edges(self) -> int:
+        """Distinct links in the graph."""
+        return len(self.edges)
+
+
 class Topology:
     """Base: a graph, a host count, and a routing function."""
 
@@ -60,7 +111,7 @@ class Topology:
         if hosts < 1:
             raise ValueError(f"need at least one host, got {hosts}")
         self.hosts = hosts
-        self.graph = nx.Graph()
+        self.graph = _Graph()
 
     def host_node(self, rank: int) -> Node:
         """Graph node for a host rank (IndexError when out of range)."""
@@ -190,7 +241,7 @@ class FatTreeTopology(Topology):
     """
 
     def __init__(self, hosts: int, hosts_per_leaf: int = 16,
-                 spines: int = None) -> None:  # type: ignore[assignment]
+                 spines: Optional[int] = None) -> None:
         super().__init__(hosts)
         if hosts_per_leaf < 1:
             raise ValueError("hosts_per_leaf must be >= 1")
