@@ -3,8 +3,9 @@
 The keynote's Figure-1-equivalent is "the performance, capacity, power,
 size, and cost curves of future commodity clusters"; :func:`technology_curve`
 produces one named curve as ``(years, values)`` arrays and
-:func:`curve_table` assembles the full multi-quantity table used by
-``benchmarks/bench_e01_tech_curves.py``.
+:func:`curve_table` assembles the full multi-quantity table.  The
+``e01_tech_curves`` fleet experiment (:mod:`repro.xp.analytic`) checks
+the curves' shape claims.
 """
 
 from __future__ import annotations

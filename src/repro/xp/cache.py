@@ -6,9 +6,9 @@ the three things that together determine it exactly —
 
 * a **code fingerprint** — :func:`repro.lint.engine.tree_fingerprint`
   over the per-file SHA-256 set of the experiment's transitive local
-  import closure (:mod:`repro.xp.fingerprint`), so editing any file the
-  experiment's code actually reaches invalidates its points and nothing
-  else;
+  import closure plus the file defining its run function
+  (:mod:`repro.xp.fingerprint`), so editing any file the experiment's
+  code actually reaches invalidates its points and nothing else;
 * the point's **canonical-JSON config** — sorted keys, no whitespace,
   so semantically identical configs always key identically;
 * the derived per-point **seed**.

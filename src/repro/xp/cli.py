@@ -4,7 +4,7 @@
 
     python -m repro fleet                        # run all experiments
     python -m repro fleet e20_fault_campaigns    # one experiment
-    python -m repro fleet --list                 # registry + point counts
+    python -m repro fleet --list                 # registry, points, claims
     python -m repro fleet -j 4                   # shard misses over 4 procs
     python -m repro fleet --no-cache             # recompute + verify
     python -m repro fleet --stats                # hits, misses, wall time
@@ -15,14 +15,18 @@ root (see :mod:`repro.xp.cache`), keyed by code fingerprint + canonical
 config + derived seed, so a warm run on an unchanged tree recomputes
 nothing.  ``--no-cache`` recomputes every point and *verifies* it
 against any cached summary: a mismatch on a deterministic experiment is
-a divergence and the run exits nonzero.
+a divergence and the run exits nonzero.  Every run, warm or cold, also
+checks each selected experiment's paper claims on its summaries; a
+broken claim is printed with its experiment, name and paper claim, and
+the run exits nonzero.
 
 Every run also refreshes the ``BENCH_xp_fleet.json`` trajectory
 artifact at the repo root, atomically (:mod:`repro.xp.artifacts`); its
 ``experiments`` section holds only the canonical summaries, so warm and
 cold artifacts are byte-identical.
 
-Exit status: 0 on success, 1 on summary divergence, 2 on usage errors.
+Exit status: 0 on success, 1 on summary divergence or a broken claim,
+2 on usage errors.
 """
 
 from __future__ import annotations
@@ -92,9 +96,14 @@ def _render_text(result: FleetResult, elapsed: Optional[float]) -> str:
             f"DIVERGENCE {divergence.experiment}/{divergence.point}: "
             f"cached {divergence.cached} != computed "
             f"{divergence.computed}")
+    for broken in result.broken_claims:
+        lines.append(f"BROKEN CLAIM {broken.experiment}/{broken.claim} "
+                     f"(paper claim {broken.paper_claim})")
     lines.append(f"{result.points} point(s), {result.hits} cached "
                  f"({result.hit_rate:.0%}), "
                  f"{len(result.divergences)} divergence(s)")
+    lines.append(f"{result.claims_checked} claims checked, "
+                 f"{len(result.broken_claims)} broken")
     if elapsed is not None:
         lines.append(f"stats: {result.misses} recomputed, wall time "
                      f"{elapsed:.3f}s")
@@ -111,6 +120,12 @@ def _render_json(result: FleetResult, elapsed: Optional[float]) -> str:
             {"experiment": d.experiment, "point": d.point,
              "cached": d.cached, "computed": d.computed}
             for d in result.divergences
+        ],
+        "claims_checked": result.claims_checked,
+        "broken_claims": [
+            {"experiment": b.experiment, "claim": b.claim,
+             "paper_claim": b.paper_claim}
+            for b in result.broken_claims
         ],
     }
     if elapsed is not None:
@@ -143,8 +158,8 @@ def run(args: argparse.Namespace) -> int:
     if args.list:
         for spec in EXPERIMENTS:
             kind = "" if spec.deterministic else " [timing]"
-            print(f"{spec.name}  ({len(spec.points)} points){kind}  "
-                  f"{spec.description}")
+            print(f"{spec.name}  ({len(spec.points)} points, "
+                  f"{len(spec.claims)} claims){kind}  {spec.description}")
         return 0
 
     started = time.perf_counter()  # repro: noqa[REP002] host-side tool; --stats times the fleet run itself, not the model

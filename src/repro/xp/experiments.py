@@ -1,12 +1,15 @@
-"""Registered experiments: the E20/E21/E22 sweeps and the perf probe.
+"""Registered experiments: the E20–E23 sweeps, the perf probe, and the
+registry that adds the paper-claim experiments of
+:mod:`repro.xp.analytic`.
 
-These mirror the shapes in ``benchmarks/bench_e20_fault_campaigns.py``,
-``bench_e21_detection_tradeoff.py`` and ``bench_e22_jobs_service.py``,
-repackaged as pure ``run(config, seed) -> summary`` functions the fleet
-runner can cache and shard.  The bench modules keep their pytest gates
-(shape assertions, pytest-benchmark timings); the fleet versions exist
-to make *routine* re-measurement cheap — a warm ``python -m repro
-fleet`` touches only experiments whose code or config changed.
+E20–E23 mirror the shapes in ``benchmarks/bench_e20_fault_campaigns.py``,
+``bench_e21_detection_tradeoff.py``, ``bench_e22_jobs_service.py`` and
+``bench_e23_gossip.py``, repackaged as pure ``run(config, seed) ->
+summary`` functions the fleet runner can cache and shard.  Those bench
+modules keep their pytest gates and CI artifacts at 10^4 nodes; the
+fleet versions exist to make *routine* re-measurement cheap — a warm
+``python -m repro fleet`` touches only experiments whose code or config
+changed.
 
 Two deliberate differences from the benches:
 
@@ -17,9 +20,8 @@ Two deliberate differences from the benches:
   canonical-JSON byte identity is a meaningful cache contract.
 
 ``code_roots`` name the modules each experiment *drives*; the cache
-invalidates a sweep exactly when a file in that closure changes.  An
-edit to the definitions in this module itself is signalled by bumping
-the ``version`` field carried in every point config.
+invalidates a sweep exactly when a file in that closure, or this module
+(which defines their run functions), changes.
 """
 
 from __future__ import annotations
@@ -290,45 +292,40 @@ def _e20_points() -> Tuple[PointSpec, ...]:
         for mode, every in (("ckpt", 1), ("scratch", int(MEGA))):
             points.append(PointSpec(
                 name=f"f{faults}-{mode}",
-                config={"version": 1, "faults": faults,
-                        "checkpoint_every": every}))
+                config={"faults": faults, "checkpoint_every": every}))
     return tuple(points)
 
 
 def _e21_points() -> Tuple[PointSpec, ...]:
     points = [PointSpec(name=f"fixed-x{m}",
-                        config={"version": 1, "detector": "fixed",
-                                "multiplier": m})
+                        config={"detector": "fixed", "multiplier": m})
               for m in (2, 4, 8, 16)]
-    points.append(PointSpec(name="phi",
-                            config={"version": 1, "detector": "phi"}))
+    points.append(PointSpec(name="phi", config={"detector": "phi"}))
     return tuple(points)
 
 
 def _e22_points() -> Tuple[PointSpec, ...]:
     return tuple(PointSpec(name=f"crash{n}",
-                           config={"version": 1, "crashes": n,
-                                   "trace_jobs": 24})
+                           config={"crashes": n, "trace_jobs": 24})
                  for n in (0, 1, 2))
 
 
 def _e23_points() -> Tuple[PointSpec, ...]:
     return tuple(PointSpec(name=f"{detector}-n{nodes}",
-                           config={"version": 1, "detector": detector,
-                                   "nodes": nodes})
+                           config={"detector": detector, "nodes": nodes})
                  for detector in ("fixed", "gossip")
                  for nodes in (64, 256))
 
 
 def _perf_points() -> Tuple[PointSpec, ...]:
     return tuple(PointSpec(name=f"storm-{queue}",
-                           config={"version": 1, "queue": queue,
-                                   "events": 20_000})
+                           config={"queue": queue, "events": 20_000})
                  for queue in ("heap", "wheel"))
 
 
 #: The registered fleet, in index order.
 EXPERIMENTS: Tuple[ExperimentSpec, ...] = (
+    *ANALYTIC_EXPERIMENTS,
     ExperimentSpec(
         name="e20_fault_campaigns",
         run=e20_run,
@@ -363,7 +360,6 @@ EXPERIMENTS: Tuple[ExperimentSpec, ...] = (
         description="SWIM gossip vs central heartbeat detection on a "
                     "crash (small-scale; 10^4 scorecard in the bench)",
     ),
-    *ANALYTIC_EXPERIMENTS,
     ExperimentSpec(
         name="perf_engine",
         run=perf_engine_run,

@@ -1,8 +1,25 @@
 """The python -m repro command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
+from repro.xp import Claim, ExperimentSpec, PointSpec
+
+
+def doubled(config, seed):
+    """Toy fleet point (module-level so it pickles by reference)."""
+    return {"value": 2 * config["x"]}
+
+
+#: A toy experiment whose second claim cannot hold.
+BROKEN = ExperimentSpec(
+    name="toy_claims", run=doubled,
+    points=(PointSpec(name="a", config={"x": 1}),),
+    code_roots=("repro/units.py",),
+    claims=(Claim("value_is_even", 1, lambda p: p["a"]["value"] == 2),
+            Claim("value_is_odd", 4, lambda p: p["a"]["value"] % 2 == 1)))
 
 
 class TestCli:
@@ -59,6 +76,7 @@ class TestCli:
         for name in ("e20_fault_campaigns", "e21_detection_tradeoff",
                      "e22_jobs_service", "perf_engine"):
             assert name in out
+        assert "e09_checkpoint_ablation  (3 points, 8 claims)" in out
 
     def test_fleet_unknown_experiment_exits_2(self, capsys):
         assert main(["fleet", "no_such_experiment", "--no-artifact"]) == 2
@@ -81,6 +99,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert "perf_engine/storm-wheel: cached" in out
         assert "2 cached (100%)" in out
+        assert "0 claims checked, 0 broken" in out
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_fleet_names_a_broken_claim(self, tmp_path, capsys,
+                                        monkeypatch, cached):
+        monkeypatch.setattr("repro.xp.cli.get_experiments",
+                            lambda names: (BROKEN,))
+        argv = ["fleet", "--cache-dir", str(tmp_path / "cache"),
+                "--no-artifact"]
+        if cached:
+            main(argv)
+            capsys.readouterr()
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "BROKEN CLAIM toy_claims/value_is_odd (paper claim 4)" in out
+        assert "2 claims checked, 1 broken" in out
+        assert "value_is_even" not in out
+        assert main(argv + ["--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["claims_checked"] == 2
+        assert doc["broken_claims"] == [{
+            "experiment": "toy_claims", "claim": "value_is_odd",
+            "paper_claim": 4}]
 
     def test_jobs(self, capsys):
         assert main(["jobs"]) == 0
