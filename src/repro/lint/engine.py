@@ -48,6 +48,7 @@ __all__ = [
     "ERROR",
     "WARNING",
     "Finding",
+    "ImportGraph",
     "ImportMap",
     "LintResult",
     "ModuleInfo",
@@ -55,7 +56,6 @@ __all__ = [
     "Rule",
     "RuleVisitor",
     "apply_baseline",
-    "import_closure",
     "iter_python_files",
     "lint_module",
     "lint_module_project",
@@ -474,40 +474,61 @@ def _resolve_module_files(dotted: str, src_root: Path) -> List[Path]:
     return found
 
 
-def import_closure(roots: Iterable[Path],
-                   src_root: Path) -> Dict[str, str]:
-    """Transitive local-import closure of ``roots``: ``{rel: sha256}``.
+class ImportGraph:
+    """The local-import graph under one source root, walked on demand.
 
-    Walks each module's :class:`ImportMap` member origins plus raw
-    ``import a.b.c`` dotted names (the map intentionally truncates those
-    to their first segment for alias resolution, which is too coarse
-    here), resolving every candidate to a file under ``src_root`` and
-    recursing.  Only files inside ``src_root`` enter the closure, keyed
-    by their POSIX path relative to it.
-
-    This is the code half of the experiment cache key
-    (:mod:`repro.xp.fingerprint`): fold the returned mapping with
-    :func:`tree_fingerprint` and any edit to any transitively imported
-    file changes the digest.  Unparseable files contribute their content
-    hash but no further edges.
+    :meth:`closure` returns the transitive local-import closure of a set
+    of roots as ``{rel: sha256}``.  Each file's content hash and import
+    edges are computed once per graph and then reused, so the closures
+    of many overlapping root sets cost one read and parse per file: the
+    fleet runner fingerprints every experiment off one graph, and nearly
+    all of them reach the same closure of ``repro/__init__.py``.  Build a
+    new graph to see edits made since the last one.
     """
-    src_root = Path(src_root).resolve()
-    shas: Dict[str, str] = {}
-    stack = iter_python_files(roots)
-    while stack:
-        path = stack.pop()
-        try:
-            rel = path.relative_to(src_root).as_posix()
-        except ValueError:
-            continue  # outside the tree: not local code
-        if rel in shas:
-            continue
+
+    def __init__(self, src_root: Path) -> None:
+        self.src_root = Path(src_root).resolve()
+        self._files: Dict[str, Tuple[str, List[Path]]] = {}
+
+    def closure(self, roots: Iterable[Path]) -> Dict[str, str]:
+        """Transitive local-import closure of ``roots``: ``{rel: sha256}``.
+
+        Walks each module's :class:`ImportMap` member origins plus raw
+        ``import a.b.c`` dotted names (the map intentionally truncates
+        those to their first segment for alias resolution, which is too
+        coarse here), resolving every candidate to a file under the
+        source root and recursing.  Only files inside the source root
+        enter the closure, keyed by their POSIX path relative to it.
+
+        This is the code half of the experiment cache key
+        (:mod:`repro.xp.fingerprint`): fold the returned mapping with
+        :func:`tree_fingerprint` and any edit to any transitively
+        imported file changes the digest.  Unparseable files contribute
+        their content hash but no further edges.
+        """
+        shas: Dict[str, str] = {}
+        stack = iter_python_files(roots)
+        while stack:
+            path = stack.pop()
+            try:
+                rel = path.relative_to(self.src_root).as_posix()
+            except ValueError:
+                continue  # outside the tree: not local code
+            if rel in shas:
+                continue
+            if rel not in self._files:
+                self._files[rel] = self._read(path, rel)
+            shas[rel], imported = self._files[rel]
+            stack.extend(imported)
+        return shas
+
+    def _read(self, path: Path, rel: str) -> Tuple[str, List[Path]]:
+        """One file's content hash and the local files it imports."""
         source = path.read_text(encoding="utf-8")
-        shas[rel] = _sha256(source)
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError:
-            continue
+            return _sha256(source), []
         dotted, package = _closure_names(rel)
         imports = ImportMap(tree, dotted, package=package)
         candidates = set(imports.members.values())
@@ -515,9 +536,10 @@ def import_closure(roots: Iterable[Path],
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     candidates.add(alias.name)
+        imported: List[Path] = []
         for name in sorted(candidates):
-            stack.extend(_resolve_module_files(name, src_root))
-    return shas
+            imported.extend(_resolve_module_files(name, self.src_root))
+        return _sha256(source), imported
 
 
 def iter_python_files(paths: Iterable[Path]) -> List[Path]:
