@@ -75,7 +75,7 @@ def run_campaign(slots):
     }
 
 
-def test_e21_scale_10k_detection(benchmark, show):
+def test_e21_scale_10k_detection(benchmark):
     results = benchmark.pedantic(
         lambda: {label: run_campaign(slots)
                  for label, slots in (("per-node", None),

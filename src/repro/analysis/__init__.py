@@ -1,4 +1,4 @@
-"""Reporting utilities shared by benchmarks and examples.
+"""Reporting utilities shared by the CLI, examples and experiments.
 
 Pure presentation + statistics: no imports from the simulation layers, so
 report code can never perturb an experiment.
@@ -6,17 +6,15 @@ report code can never perturb an experiment.
 Public surface
 --------------
 :class:`Table`
-    Column-aware ASCII table builder (every bench prints through it).
+    Column-aware ASCII table builder (the CLI prints through it).
 :class:`Series`
-    A named (x, y) curve with tabular rendering.
+    A named (x, y) curve with interpolation and crossings.
 :func:`summarize` / :func:`confidence_interval` / :func:`geometric_mean`
     Replication statistics.
-:class:`ExperimentReport`
-    Uniform experiment header/claim/table/notes block.
 """
 
 from repro.analysis.tables import Table
-from repro.analysis.series import Series, render_series
+from repro.analysis.series import Series
 from repro.analysis.stats import (
     SummaryStats,
     confidence_interval,
@@ -24,16 +22,13 @@ from repro.analysis.stats import (
     speedup_curve,
     summarize,
 )
-from repro.analysis.report import ExperimentReport
 
 __all__ = [
-    "ExperimentReport",
     "Series",
     "SummaryStats",
     "Table",
     "confidence_interval",
     "geometric_mean",
-    "render_series",
     "speedup_curve",
     "summarize",
 ]

@@ -1,20 +1,17 @@
 """Named (x, y) curves — the "figure" data structure.
 
-Benchmarks that reproduce a *figure* emit one :class:`Series` per plotted
-line; :func:`render_series` lays several series out as a column-per-series
-table keyed by x, which is the terminal-friendly equivalent of the plot.
+One :class:`Series` per plotted line, with interpolation and
+level-crossing lookups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.analysis.tables import Table
-
-__all__ = ["Series", "render_series"]
+__all__ = ["Series"]
 
 
 @dataclass
@@ -64,25 +61,3 @@ class Series:
                 return float(xs[i - 1] + fraction * (xs[i] - xs[i - 1]))
         raise ValueError(f"series {self.name!r} never crosses {level}")
 
-
-def render_series(series_list: Sequence[Series], x_label: str = "x",
-                  value_format: str = "{:.4g}", title: str = "",
-                  x_format: str = "{:g}") -> str:
-    """Tabulate several series against their union of x values."""
-    if not series_list:
-        raise ValueError("no series to render")
-    xs = sorted({x for s in series_list for x in s.x})
-    lookup: List[Dict[float, float]] = [
-        dict(zip(s.x, s.y)) for s in series_list
-    ]
-    formats: Dict[str, str] = {s.name: value_format for s in series_list}
-    formats[x_label] = x_format
-    table = Table([x_label] + [s.name for s in series_list],
-                  formats=formats,
-                  title=title)
-    for x in xs:
-        row: List[object] = [x]
-        for values in lookup:
-            row.append(values.get(x, float("nan")))
-        table.add_row(row)
-    return table.render()

@@ -1,13 +1,12 @@
 """Experiment fleet runner with a content-hash result cache.
 
-``repro.xp`` is the only runner of the paper-claim experiments E01–E19
+``repro.xp`` is the only runner of the paper-claim experiments E01–E23
 and makes re-measuring the experiment suite routine: each sweep point's
 summary is cached under ``.repro-xp-cache/`` keyed by (code
-fingerprint, canonical config, derived seed), and cache misses are
-sharded across a worker-process pool with deterministic per-point RNG
-seeds and an order-independent merge.  Every run then checks each
-experiment's named paper claims on its summaries, cached or not, and
-exits 1 naming any claim that broke.  A warm ``python -m repro fleet``
+fingerprint, canonical config), and cache misses are sharded across a
+worker-process pool with an order-independent merge.  Every run then
+checks each experiment's named paper claims on its summaries, cached
+or not, and exits 1 naming any claim that broke.  A warm ``python -m repro fleet``
 on an unchanged tree recomputes nothing; an edit re-runs exactly the
 experiments whose fingerprint covers the edited file (most of them,
 for a module in ``repro/__init__``'s closure; see
@@ -19,15 +18,15 @@ every library package the registered experiments drive.
 
 Modules:
 
-* :mod:`repro.xp.spec` — :class:`ExperimentSpec`/:class:`PointSpec`,
-  :class:`Claim` and the per-point seed derivation;
+* :mod:`repro.xp.spec` — :class:`ExperimentSpec`/:class:`PointSpec`
+  and :class:`Claim`;
 * :mod:`repro.xp.fingerprint` — code fingerprints from the lint
   engine's import graph;
 * :mod:`repro.xp.cache` — the per-point result cache;
 * :mod:`repro.xp.runner` — the sweep orchestrator;
 * :mod:`repro.xp.analytic` — E01–E19 with their paper claims;
-* :mod:`repro.xp.experiments` — the E20–E23 sweeps, the engine perf
-  probe and the registry;
+* :mod:`repro.xp.experiments` — E20–E23 with their paper claims, and
+  the registry;
 * :mod:`repro.xp.artifacts` — atomic ``BENCH_*.json`` writing (also
   used by the bench modules);
 * :mod:`repro.xp.cli` — ``python -m repro fleet``.
@@ -44,7 +43,7 @@ from repro.xp.runner import (
     PointResult,
     run_fleet,
 )
-from repro.xp.spec import Claim, ExperimentSpec, PointSpec, point_seed
+from repro.xp.spec import Claim, ExperimentSpec, PointSpec
 
 __all__ = [
     "BrokenClaim",
@@ -60,7 +59,6 @@ __all__ = [
     "canonical_json",
     "code_fingerprints",
     "get_experiments",
-    "point_seed",
     "run_fleet",
     "write_bench_artifact",
 ]

@@ -11,13 +11,13 @@ for paper claims 1–6 (DESIGN.md "What the paper claims").
 
 Conventions (shared with :mod:`repro.xp.experiments`):
 
-* every run function is module-level and picklable, takes
-  ``(config, seed)`` and returns a JSON-able dict;
+* every run function is module-level and picklable, takes ``config``
+  and returns a JSON-able dict;
 * summaries hold the raw values the claims compare, so a claim reads
   exactly the numbers it asserts on;
-* one size only, the one the claims were made at, and no derived
-  seeds: closed-form models have no randomness, and the four
-  stochastic experiments (E07, E08, E13, E15) pin the seeds their
+* one size only, the one the claims were made at, and seeds pinned in
+  the run function: closed-form models have no randomness, and the
+  four stochastic experiments (E07, E08, E13, E15) pin the seeds their
   claims were made at, since E07's and E15's claims do not hold at
   every seed (ROADMAP item 7);
 * arms a claim compares run on the same inputs;
@@ -87,7 +87,7 @@ _E01_CURVES = (("node_peak_flops", False), ("node_memory_bytes", False),
                ("flops_per_rack_unit", False))
 
 
-def e01_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e01_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E01 point: one scenario's five technology curves, 2003-2010."""
     from repro.tech import get_scenario, technology_curve
 
@@ -131,7 +131,7 @@ _E01 = ExperimentSpec(
 _E02_BUDGETS = (("5m", 5e6), ("20m", 20e6), ("100m", 100e6))
 
 
-def e02_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e02_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E02 point: first year one budget buys a peak petaflops, bisected
     on the calendar (``None`` when not by 2020)."""
     from repro.cluster import design_to_budget
@@ -193,7 +193,7 @@ _E02 = ExperimentSpec(
 
 # -- E03: node architectures -------------------------------------------------
 
-def e03_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e03_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E03 point: one node architecture's 2006 roofline scorecard."""
     from repro.nodes import REFERENCE_KERNELS, RooflineModel, make_node
     from repro.tech import get_scenario
@@ -273,7 +273,7 @@ def _pingpong(comm: Any, nbytes: int, reps: int) -> Any:
     return (comm.sim.now - start) / (2 * reps)
 
 
-def e04_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e04_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E04 point: simulated ping-pong half round trip vs message size
     for one interconnect technology."""
     from repro.messaging import run_spmd
@@ -344,7 +344,7 @@ _E05_RANKS = (1, 2, 4, 8, 16, 32)
 _E05_FABRICS = ("fast_ethernet", "gigabit_ethernet", "infiniband_4x")
 
 
-def e05_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e05_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E05 point: one app's elapsed time vs rank count on one fabric.
 
     Nodes compute at a flat 3 GFLOPS (a 2005 node on real code), so the
@@ -422,7 +422,7 @@ _E05 = ExperimentSpec(
 _E06_PUES = (1.2, 1.6, 2.0, 2.5)
 
 
-def e06_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e06_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E06 point: racks, floor space and power to field 100 TFLOPS peak
     in 2006 from one architecture, plus facility power vs PUE."""
     from repro.cluster import (
@@ -494,7 +494,7 @@ _E07_LOADS = (0.5, 0.7, 0.85, 0.95)
 _E07_POLICIES = ("fcfs", "sjf", "easy", "conservative")
 
 
-def e07_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e07_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E07 point: every batch policy on one 1,500-job workload at one
     offered load, 128 nodes."""
     from repro.scheduler import (
@@ -568,7 +568,7 @@ _E08_SCALES = (10, 100, 1_000, 10_000, 100_000)
 _E08_MONTE_CARLO_SCALES = (1_000, 10_000)
 
 
-def e08_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e08_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E08 point: system MTBF, Daly interval and efficiency at one
     machine scale, with a 12-run Monte-Carlo check at 1k and 10k."""
     from repro.fault import (
@@ -644,7 +644,7 @@ _E08 = ExperimentSpec(
 
 # -- E09: checkpoint strategy ablation ---------------------------------------
 
-def e09_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e09_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E09 point: useful-work fraction of a 24 h job per checkpoint
     strategy at one machine scale (exact expected-runtime model)."""
     from repro.fault import (
@@ -705,7 +705,7 @@ _E09 = ExperimentSpec(
 
 # -- E10: processor in memory ------------------------------------------------
 
-def e10_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e10_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E10 point: PIM vs conventional rooflines in 2006, their crossover,
     and the conventional ridge over the years."""
     from repro.nodes import RooflineModel, make_node
@@ -769,7 +769,7 @@ _E10 = ExperimentSpec(
 _E11_YEARS = (2003.0, 2005.0, 2007.0, 2009.0, 2010.0)
 
 
-def e11_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e11_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E11 point: 512-node cluster $/FLOPS 2003-2010, plus 1000-node
     purchase and 4-year TCO per GFLOPS, conventional vs SoC, 2008."""
     from repro.cluster import CostModel, design_cluster, pack_cluster
@@ -834,7 +834,7 @@ _E11 = ExperimentSpec(
 
 # -- E12: Top500-style extrapolation -----------------------------------------
 
-def e12_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e12_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E12 point: HPL-model Rmax and efficiency 2003-2012 for one
     budget class, and the year Rmax crosses 1 PFLOPS (``None`` if it
     does not)."""
@@ -935,7 +935,7 @@ def _time_alltoall(spines: Optional[int], contention: bool) -> float:
                               contention=contention).results))
 
 
-def e13_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e13_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E13 point: one ablation family — allreduce algorithm vs vector
     size, fabric contention and oversubscription under alltoall, or
     backfill reservation depth at 0.9 load."""
@@ -1015,7 +1015,7 @@ _E13 = ExperimentSpec(
 _E14_SCALES = (256, 1_024, 4_096, 16_384, 32_768)  # repro: noqa[REP003] node counts
 
 
-def e14_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e14_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E14 point: derived checkpoint time and Daly efficiency vs scale
     (2 GiB/node, IB 4x) for a fixed 16-server PFS and one scaled at a
     server per 16 nodes, plus a simulated write against its bound."""
@@ -1096,7 +1096,7 @@ _E14 = ExperimentSpec(
 _E15_MTBF_YEARS = (10.0, 2.0, 0.5, 0.25)
 
 
-def e15_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e15_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E15 point: EASY backfilling of one 800-job workload on a failing
     1024-node machine at one node MTBF, scratch restart vs hourly
     checkpoints."""
@@ -1170,7 +1170,7 @@ _E15 = ExperimentSpec(
 
 # -- E16: history validation -------------------------------------------------
 
-def e16_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e16_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E16 point: the model's $100M Rmax slope and petaflops year vs the
     Top500 record, and the stencil's fitted serial fraction."""
     from repro.analysis.scaling import fit_serial_fraction, gustafson_speedup
@@ -1247,7 +1247,7 @@ _E16 = ExperimentSpec(
 
 # -- E17: fleet procurement --------------------------------------------------
 
-def e17_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e17_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E17 point: one procurement strategy's 2003-2010 fleet on a
     $2M/year budget."""
     from repro.cluster import simulate_fleet, time_averaged_peak
@@ -1333,7 +1333,7 @@ def _run_strided(region_count: int, list_io: bool, disk: Any) -> float:
     return float(sim.run_process(client()))
 
 
-def e18_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e18_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E18 point: a strided write, one request per region vs list I/O,
     at one region count and disk seek time (default disk if ``None``)."""
     from repro.io import DiskModel
@@ -1386,7 +1386,7 @@ _E18 = ExperimentSpec(
 _E19_RANKS = (4, 16, 64)
 
 
-def e19_run(config: Mapping[str, Any], seed: int) -> Dict[str, Any]:
+def e19_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     """E19 point: 1D-slab vs 2D-block stencil time on a 2048² grid at
     4, 16 and 64 ranks, on one fabric."""
     from repro.apps import ComputeCharge, run_stencil, run_stencil2d

@@ -2,7 +2,7 @@
 
 The :class:`~repro.lint.cache.LintCache` design, generalised from lint
 findings to experiment summaries: each sweep point's result is keyed by
-the three things that together determine it exactly —
+the two things that together determine it exactly —
 
 * a **code fingerprint** — :func:`repro.lint.engine.tree_fingerprint`
   over the per-file SHA-256 set of the experiment's transitive local
@@ -10,8 +10,10 @@ the three things that together determine it exactly —
   (:mod:`repro.xp.fingerprint`), so editing any file the experiment's
   code actually reaches invalidates its points and nothing else;
 * the point's **canonical-JSON config** — sorted keys, no whitespace,
-  so semantically identical configs always key identically;
-* the derived per-point **seed**.
+  so semantically identical configs always key identically.
+
+Run functions take no seed (a stochastic experiment pins its own), so
+nothing else can change a summary.
 
 Unlike the lint cache's single document, entries live one-per-file as
 ``.repro-xp-cache/<experiment>/<key>.json`` with the key material
@@ -19,8 +21,8 @@ echoed inside, and each entry is written via temp-file + atomic rename:
 experiment summaries are orders of magnitude more expensive to recompute
 than lint findings, so a torn write must never take out a whole
 experiment's warm set.  Any mismatch — edited code, different config,
-different seed, corrupt or truncated entry — simply misses, and the
-point is recomputed and re-stored.  The cache can therefore never change
+corrupt or truncated entry — simply misses, and the point is
+recomputed and re-stored.  The cache can therefore never change
 *what* a fleet run reports, only how much of it is recomputed
 (``tests/test_xp_cache.py`` proves byte-identical warm-vs-cold
 summaries).
@@ -43,7 +45,7 @@ CACHE_DIR_NAME = ".repro-xp-cache"
 
 #: Version of the entry format and key derivation; bumping it forces a
 #: cold fleet everywhere.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def canonical_json(payload: Any) -> str:
@@ -57,7 +59,7 @@ def canonical_json(payload: Any) -> str:
 
 
 class ResultCache:
-    """Per-point experiment summaries keyed by (code, config, seed).
+    """Per-point experiment summaries keyed by (code, config).
 
     One instance corresponds to one cache directory.  ``get``/``put``
     operate on a single point's summary dict; there is no ``save`` step
@@ -70,7 +72,7 @@ class ResultCache:
         self.directory = Path(directory)
 
     def key(self, experiment: str, point: str, code: str,
-            config: Mapping[str, Any], seed: int) -> str:
+            config: Mapping[str, Any]) -> str:
         """SHA-256 entry key over the canonical identity tuple."""
         identity = canonical_json({
             "version": CACHE_VERSION,
@@ -78,7 +80,6 @@ class ResultCache:
             "point": point,
             "code": code,
             "config": config,
-            "seed": seed,
         })
         return hashlib.sha256(identity.encode("utf-8")).hexdigest()
 
@@ -87,15 +88,14 @@ class ResultCache:
         return self.directory / experiment / f"{key}.json"
 
     def get(self, experiment: str, point: str, code: str,
-            config: Mapping[str, Any],
-            seed: int) -> Optional[Dict[str, Any]]:
+            config: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
         """Cached summary for this exact identity, or ``None``.
 
         Misses when no entry file exists for the key, the file is
         unreadable or malformed, or the echoed identity fields disagree
         with the request (a hash collision or a hand-edited entry).
         """
-        key = self.key(experiment, point, code, config, seed)
+        key = self.key(experiment, point, code, config)
         path = self.entry_path(experiment, key)
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
@@ -106,8 +106,7 @@ class ResultCache:
         if (data.get("version") != CACHE_VERSION
                 or data.get("experiment") != experiment
                 or data.get("point") != point
-                or data.get("code") != code
-                or data.get("seed") != seed):
+                or data.get("code") != code):
             return None
         summary = data.get("summary")
         if not isinstance(summary, dict):
@@ -115,7 +114,7 @@ class ResultCache:
         return summary
 
     def put(self, experiment: str, point: str, code: str,
-            config: Mapping[str, Any], seed: int,
+            config: Mapping[str, Any],
             summary: Mapping[str, Any]) -> None:
         """Store one point's summary, atomically.
 
@@ -123,7 +122,7 @@ class ResultCache:
         inspecting the cache directory can tell the points apart, and so
         :meth:`get` can reject anything that does not match exactly.
         """
-        key = self.key(experiment, point, code, config, seed)
+        key = self.key(experiment, point, code, config)
         payload = {
             "version": CACHE_VERSION,
             "tool": "repro.xp",
@@ -131,7 +130,6 @@ class ResultCache:
             "point": point,
             "code": code,
             "config": dict(config),
-            "seed": seed,
             "summary": dict(summary),
         }
         write_json_atomic(self.entry_path(experiment, key), payload)

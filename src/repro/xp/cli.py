@@ -12,13 +12,12 @@
 
 Results are cached per point under ``.repro-xp-cache/`` at the repo
 root (see :mod:`repro.xp.cache`), keyed by code fingerprint + canonical
-config + derived seed, so a warm run on an unchanged tree recomputes
-nothing.  ``--no-cache`` recomputes every point and *verifies* it
-against any cached summary: a mismatch on a deterministic experiment is
-a divergence and the run exits nonzero.  Every run, warm or cold, also
-checks each selected experiment's paper claims on its summaries; a
-broken claim is printed with its experiment, name and paper claim, and
-the run exits nonzero.
+config, so a warm run on an unchanged tree recomputes nothing.
+``--no-cache`` recomputes every point and *verifies* it against any
+cached summary: a mismatch is a divergence and the run exits nonzero.
+Every run, warm or cold, also checks each selected experiment's paper
+claims on its summaries; a broken claim is printed with its experiment,
+name and paper claim, and the run exits nonzero.
 
 Every run also refreshes the ``BENCH_xp_fleet.json`` trajectory
 artifact at the repo root, atomically (:mod:`repro.xp.artifacts`); its
@@ -63,9 +62,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "registered)")
     parser.add_argument("--list", action="store_true",
                         help="print the experiment registry and exit")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="fleet seed; per-point seeds are derived "
-                             "from it (default: 0)")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute every point and verify against "
                              "cached summaries (divergence exits 1)")
@@ -136,7 +132,7 @@ def _render_json(result: FleetResult, elapsed: Optional[float]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _write_artifact(result: FleetResult, seed: int, path: Path) -> None:
+def _write_artifact(result: FleetResult, path: Path) -> None:
     """Refresh the trajectory artifact (atomic; summaries only).
 
     Wall-clock stats stay out of the payload so a warm re-run rewrites
@@ -147,7 +143,6 @@ def _write_artifact(result: FleetResult, seed: int, path: Path) -> None:
 
     payload = {
         "benchmark_module": "xp_fleet",
-        "seed": seed,
         "experiments": result.summaries(),
     }
     write_bench_artifact(path, payload, required=("experiments",))
@@ -157,9 +152,8 @@ def run(args: argparse.Namespace) -> int:
     """Execute a parsed fleet invocation and print its report."""
     if args.list:
         for spec in EXPERIMENTS:
-            kind = "" if spec.deterministic else " [timing]"
             print(f"{spec.name}  ({len(spec.points)} points, "
-                  f"{len(spec.claims)} claims){kind}  {spec.description}")
+                  f"{len(spec.claims)} claims)  {spec.description}")
         return 0
 
     started = time.perf_counter()  # repro: noqa[REP002] host-side tool; --stats times the fleet run itself, not the model
@@ -181,13 +175,12 @@ def run(args: argparse.Namespace) -> int:
 
     root = _default_root()
     cache = ResultCache(args.cache_dir or (root / CACHE_DIR_NAME))
-    result = run_fleet(specs, seed=args.seed, cache=cache, jobs=jobs,
+    result = run_fleet(specs, cache=cache, jobs=jobs,
                        serve_hits=not args.no_cache)
     elapsed = time.perf_counter() - started  # repro: noqa[REP002] see above: wall time of the fleet run itself
 
     if not args.no_artifact:
-        _write_artifact(result, args.seed,
-                        args.artifact or (root / ARTIFACT_NAME))
+        _write_artifact(result, args.artifact or (root / ARTIFACT_NAME))
 
     stats_elapsed = elapsed if args.stats else None
     if args.format == "json":

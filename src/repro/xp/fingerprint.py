@@ -21,9 +21,8 @@ an experiment apart: ``repro/io`` (E14, E18), ``repro/tech/history.py``
 and ``repro/analysis/scaling.py`` (E16), and ``repro/jobs`` (E22).
 The run-function file splits the registry once more:
 ``repro/xp/analytic.py`` keys E01-E19 and ``repro/xp/experiments.py``
-keys E20-E23 and the perf probe, so editing a run function (or a claim
-next to it) re-runs the experiments defined in that file and no
-others.
+keys E20-E23, so editing a run function (or a claim next to it) re-runs
+the experiments defined in that file and no others.
 """
 
 from __future__ import annotations

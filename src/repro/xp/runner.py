@@ -9,17 +9,17 @@ deterministically — applied to experiment points:
 2. look every point up in the :class:`~repro.xp.cache.ResultCache`; hits
    return their stored summary without touching the experiment code;
 3. shard the misses across ``jobs`` worker processes.  Tasks are
-   ``(run_function, config, derived_seed)`` tuples — the function
-   pickles by reference, the seed comes from
-   :func:`repro.xp.spec.point_seed`, so a point computes identically
-   whichever worker gets it;
-4. merge by sorting on ``(experiment, point)`` — the result order never
+   ``(index, run_function, config)`` tuples — the function pickles by
+   reference and takes nothing but the config, so a point computes
+   identically whichever worker gets it;
+4. store each fresh summary as its task completes (parent process only
+   — workers never write the cache), comparing it against any prior
+   valid entry: a mismatch is a :class:`Divergence`, the fleet's
+   nonzero-exit signal.  A point that raises propagates its exception,
+   and every point finished before it stays cached;
+5. merge by sorting on ``(experiment, point)`` — the result order never
    depends on pool scheduling, which is what makes ``-j 1`` and
    ``-j 4`` runs byte-identical;
-5. store fresh summaries (parent process only — workers never write the
-   cache) and compare recomputed summaries against any prior valid
-   entry: a mismatch on a deterministic experiment is a
-   :class:`Divergence`, the fleet's nonzero-exit signal;
 6. check every experiment's :class:`~repro.xp.spec.Claim` predicates
    against its merged ``{point: summary}`` map, served or recomputed
    alike: a claim that does not hold is a :class:`BrokenClaim`, the
@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.xp.cache import ResultCache, canonical_json
 from repro.xp.fingerprint import code_fingerprints
-from repro.xp.spec import ExperimentSpec, PointSpec, point_seed
+from repro.xp.spec import ExperimentSpec, PointSpec
 
 __all__ = ["BrokenClaim", "Divergence", "FleetResult", "PointResult",
            "run_fleet"]
@@ -47,7 +47,6 @@ class PointResult:
 
     experiment: str
     point: str
-    seed: int
     cached: bool
     summary: Mapping[str, Any]
 
@@ -56,10 +55,9 @@ class PointResult:
 class Divergence:
     """A recomputed summary that contradicts the cached bytes.
 
-    Only raised for deterministic experiments: same code fingerprint,
-    same config, same seed, different canonical summary means either
-    hidden nondeterminism in the experiment or code the fingerprint
-    failed to cover — both worth failing the run over.
+    Same code fingerprint, same config, different canonical summary
+    means either hidden nondeterminism in the experiment or code the
+    fingerprint failed to cover — both worth failing the run over.
     """
 
     experiment: str
@@ -120,18 +118,19 @@ class FleetResult:
         return merged
 
 
-def _run_task(task: Tuple[Any, Dict[str, Any], int]) -> Dict[str, Any]:
-    """Pool worker: evaluate one point.
+def _run_task(task: Tuple[int, Any, Dict[str, Any]]
+              ) -> Tuple[int, Dict[str, Any]]:
+    """Pool worker: evaluate one point, tagged with its task index.
 
     Module-level so it pickles by reference; the run function inside the
     task does too.  Everything a point needs travels in the task — no
     worker-side registry or initializer state.
     """
-    run, config, seed = task
-    return dict(run(config, seed))
+    index, run, config = task
+    return index, dict(run(config))
 
 
-def run_fleet(specs: Sequence[ExperimentSpec], seed: int = 0,
+def run_fleet(specs: Sequence[ExperimentSpec],
               cache: Optional[ResultCache] = None, jobs: int = 1,
               serve_hits: bool = True,
               src_root: Optional[Path] = None) -> FleetResult:
@@ -141,61 +140,64 @@ def run_fleet(specs: Sequence[ExperimentSpec], seed: int = 0,
     point but still reads any prior entry for comparison — that is the
     divergence-verification mode — and refreshes the stored entries.
     With ``cache=None`` nothing is read or written and no divergence can
-    be reported.  Results are sorted by ``(experiment, point)``
-    regardless of ``jobs``.  Every spec's claims are then checked on the
-    merged summaries, whether they came from the cache or not.
+    be reported.  Each recomputed point is stored as soon as it
+    finishes, so a point that raises loses no other point's work.
+    Results are sorted by ``(experiment, point)`` regardless of
+    ``jobs``.  Every spec's claims are then checked on the merged
+    summaries, whether they came from the cache or not.
     """
     fingerprints = code_fingerprints(specs, src_root)
     results: List[PointResult] = []
-    pending: List[Tuple[ExperimentSpec, PointSpec, int]] = []
+    pending: List[Tuple[ExperimentSpec, PointSpec]] = []
     for spec in specs:
-        code = fingerprints[spec.name]
         for point in spec.points:
-            derived = point_seed(seed, spec.name, point.name)
             if cache is not None and serve_hits:
-                hit = cache.get(spec.name, point.name, code,
-                                dict(point.config), derived)
+                hit = cache.get(spec.name, point.name,
+                                fingerprints[spec.name], dict(point.config))
                 if hit is not None:
                     results.append(PointResult(
                         experiment=spec.name, point=point.name,
-                        seed=derived, cached=True, summary=hit))
+                        cached=True, summary=hit))
                     continue
-            pending.append((spec, point, derived))
-
-    tasks = [(spec.run, dict(point.config), derived)
-             for spec, point, derived in pending]
-    if jobs > 1 and len(tasks) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(
-                processes=min(jobs, len(tasks))) as pool:
-            outputs = pool.map(_run_task, tasks, chunksize=1)
-    else:
-        outputs = [_run_task(task) for task in tasks]
+            pending.append((spec, point))
 
     divergences: List[Divergence] = []
-    for (spec, point, derived), raw in zip(pending, outputs):
+
+    def store(index: int, raw: Mapping[str, Any]) -> None:
+        spec, point = pending[index]
         # Round-trip through canonical JSON so the stored summary, the
         # in-memory summary, and every future comparison share one byte
         # form (tuples become lists now, not at some later read).
         summary = json.loads(canonical_json(raw))
-        code = fingerprints[spec.name]
         if cache is not None:
-            prior = cache.get(spec.name, point.name, code,
-                              dict(point.config), derived)
-            if (prior is not None and spec.deterministic
+            code, config = fingerprints[spec.name], dict(point.config)
+            prior = cache.get(spec.name, point.name, code, config)
+            if (prior is not None
                     and canonical_json(prior) != canonical_json(summary)):
                 divergences.append(Divergence(
                     experiment=spec.name, point=point.name,
                     cached=canonical_json(prior),
                     computed=canonical_json(summary)))
-            cache.put(spec.name, point.name, code, dict(point.config),
-                      derived, summary)
+            cache.put(spec.name, point.name, code, config, summary)
         results.append(PointResult(
-            experiment=spec.name, point=point.name, seed=derived,
-            cached=False, summary=summary))
+            experiment=spec.name, point=point.name, cached=False,
+            summary=summary))
+
+    tasks = [(index, spec.run, dict(point.config))
+             for index, (spec, point) in enumerate(pending)]
+    if jobs > 1 and len(tasks) > 1:
+        import multiprocessing
+
+        with multiprocessing.Pool(
+                processes=min(jobs, len(tasks))) as pool:
+            for index, raw in pool.imap_unordered(_run_task, tasks):
+                store(index, raw)
+    else:
+        for task in tasks:
+            store(*_run_task(task))
 
     results.sort(key=lambda r: (r.experiment, r.point))
+    divergences.sort(key=lambda d: (d.experiment, d.point))
     fleet = FleetResult(results=results, divergences=divergences)
     merged = fleet.summaries()
     for spec in specs:

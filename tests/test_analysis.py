@@ -1,16 +1,14 @@
-"""Tables, series, statistics, and experiment reports."""
+"""Tables, series and statistics."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
-    ExperimentReport,
     Series,
     Table,
     confidence_interval,
     geometric_mean,
-    render_series,
     speedup_curve,
     summarize,
 )
@@ -84,17 +82,6 @@ class TestSeries:
         with pytest.raises(ValueError, match="never crosses"):
             series.crossing(100.0)
 
-    def test_render_multiple_series(self):
-        a = Series("a", x=[1.0, 2.0], y=[10.0, 20.0])
-        b = Series("b", x=[2.0, 3.0], y=[5.0, 6.0])
-        text = render_series([a, b], x_label="year")
-        assert "year" in text and "a" in text and "b" in text
-        assert "nan" in text  # non-overlapping x shows as nan
-
-    def test_render_empty_rejected(self):
-        with pytest.raises(ValueError):
-            render_series([])
-
 
 class TestStats:
     def test_summarize_basics(self):
@@ -143,24 +130,3 @@ class TestStats:
         stats = summarize(samples)
         assert stats.ci_low <= stats.mean <= stats.ci_high
 
-
-class TestReport:
-    def test_structure(self):
-        report = ExperimentReport("E1", "Curves", "clusters track Moore")
-        table = Table(["x"])
-        table.add_row([1])
-        report.add_table(table)
-        report.add_series([Series("s", x=[1.0], y=[2.0])], x_label="year")
-        report.add_note("shape holds")
-        text = report.render()
-        assert "E1: Curves" in text
-        assert "claim: clusters track Moore" in text
-        assert "note: shape holds" in text
-
-    def test_show_prints(self, capsys):
-        report = ExperimentReport("E9", "T", "C")
-        report.add_text("body")
-        returned = report.show()
-        captured = capsys.readouterr().out
-        assert "E9" in captured
-        assert returned in captured + returned  # same text returned

@@ -8,7 +8,7 @@ from repro.__main__ import main
 from repro.xp import Claim, ExperimentSpec, PointSpec
 
 
-def doubled(config, seed):
+def doubled(config):
     """Toy fleet point (module-level so it pickles by reference)."""
     return {"value": 2 * config["x"]}
 
@@ -74,9 +74,10 @@ class TestCli:
         assert main(["fleet", "--list"]) == 0
         out = capsys.readouterr().out
         for name in ("e20_fault_campaigns", "e21_detection_tradeoff",
-                     "e22_jobs_service", "perf_engine"):
+                     "e22_jobs_service"):
             assert name in out
         assert "e09_checkpoint_ablation  (3 points, 8 claims)" in out
+        assert "e23_gossip_membership  (7 points, 14 claims)" in out
 
     def test_fleet_unknown_experiment_exits_2(self, capsys):
         assert main(["fleet", "no_such_experiment", "--no-artifact"]) == 2
@@ -86,20 +87,20 @@ class TestCli:
     def test_fleet_runs_selected_experiment(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         artifact = tmp_path / "BENCH_xp_fleet.json"
-        assert main(["fleet", "perf_engine",
+        assert main(["fleet", "e09_checkpoint_ablation",
                      "--cache-dir", str(cache_dir),
                      "--artifact", str(artifact)]) == 0
         out = capsys.readouterr().out
-        assert "perf_engine/storm-wheel: ran" in out
+        assert "e09_checkpoint_ablation/n1000: ran" in out
         assert artifact.exists()
         # Warm: every point served from cache.
-        assert main(["fleet", "perf_engine",
+        assert main(["fleet", "e09_checkpoint_ablation",
                      "--cache-dir", str(cache_dir),
                      "--artifact", str(artifact), "--stats"]) == 0
         out = capsys.readouterr().out
-        assert "perf_engine/storm-wheel: cached" in out
-        assert "2 cached (100%)" in out
-        assert "0 claims checked, 0 broken" in out
+        assert "e09_checkpoint_ablation/n1000: cached" in out
+        assert "3 cached (100%)" in out
+        assert "8 claims checked, 0 broken" in out
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_fleet_names_a_broken_claim(self, tmp_path, capsys,

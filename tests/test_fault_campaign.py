@@ -170,6 +170,21 @@ class TestRandomLossCampaign:
         assert "3 node fault(s)" in report.summary()
 
 
+class TestNoRecovery:
+    def test_unreliable_delivery_deadlocks_on_a_link_outage(self):
+        """Without reliable delivery, the host-link outage's first
+        dropped message leaves a rank waiting forever: the event queue
+        drains with the job incomplete — goodput zero, not merely
+        degraded."""
+        spec = stencil_spec(
+            name="test-no-recovery", node_faults=(),
+            link_faults=(LinkFaultSpec(start=2e-4, duration=1e-3,
+                                       a=("h", 0), b=("s", 0)),),
+            reliable=False)
+        with pytest.raises(SimulationError, match="deadlock"):
+            campaign._run_once(spec, faults_enabled=True)
+
+
 class KernelBug(RuntimeError):
     """A deliberate defect in a test kernel."""
 

@@ -17,6 +17,7 @@ from repro.fault import (
     run_campaign,
 )
 from repro.health import DetectionSpec
+from repro.obs import Observability
 from tests.conftest import make_stencil_spec
 
 HB = 1e-4
@@ -117,6 +118,27 @@ class TestFalseSuspicion:
         assert report.faulty.incarnations == 2
         # The partition still cost suspicion, just not a death.
         assert detection.false_suspicions >= 1
+
+
+class TestMetrics:
+    def test_detector_metrics_published(self):
+        """Detector measurements flow through repro.obs gauges."""
+        eight = DetectionSpec(detector="fixed", heartbeat_interval=HB,
+                              suspect_after=4 * HB, dead_after=8 * HB)
+        obs = Observability()
+        report = run_campaign(detected_spec(detection=eight,
+                                            link_faults=(PARTITION,)),
+                              obs=obs)
+        assert report.answers_match
+        gauges = {name: value for (name, _labels), value
+                  in obs.metrics.snapshot().gauges.items()}
+        for name in ("health.mttd_mean_seconds", "health.deaths",
+                     "health.false_deaths", "health.availability",
+                     "health.heartbeats.sent"):
+            assert name in gauges, f"missing gauge {name}"
+        assert gauges["health.deaths"] == 2.0
+        assert gauges["health.false_deaths"] == 1.0
+        assert 0.9 < gauges["health.availability"] < 1.0
 
 
 class TestPhiAccrual:

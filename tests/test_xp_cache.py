@@ -1,11 +1,12 @@
 """The experiment result cache and fleet runner: hit accounting,
-code/config/seed invalidation, corruption fallback, byte-identical
-warm-vs-cold summaries, shard-count independence, divergence detection
-and paper-claim checks — mirroring tests/test_lint_cache.py for the xp
-layer."""
+code/config invalidation, corruption fallback, byte-identical
+warm-vs-cold summaries, shard-count independence, finished points kept
+when another raises, divergence detection and paper-claim checks —
+mirroring tests/test_lint_cache.py for the xp layer."""
 
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,6 @@ from repro.xp import (
     ResultCache,
     canonical_json,
     code_fingerprints,
-    point_seed,
     run_fleet,
     write_bench_artifact,
 )
@@ -29,18 +29,25 @@ from repro.xp import (
 # boundary, so they must pickle by reference (tests/ is a package).
 
 
-def toy_run(config, seed):
-    """Deterministic toy point: summary derived from config and seed."""
-    return {"value": int(config["x"]) * 2, "seed": seed}
+def toy_run(config):
+    """Deterministic toy point: summary derived from the config."""
+    return {"value": int(config["x"]) * 2}
 
 
-_FLAKY_CALLS = []
+def failing_run(config):
+    """Toy point that raises when ``config["fail"]`` is set.
 
-
-def flaky_run(config, seed):
-    """Nondeterministic toy: a different summary every in-process call."""
-    _FLAKY_CALLS.append(seed)
-    return {"calls": len(_FLAKY_CALLS)}
+    It raises only once another point's entry is in the cache directory
+    ``config["cache"]`` (or after 10 s), so under ``-j`` the other point
+    has finished first whatever the pool's scheduling.
+    """
+    if not config.get("fail"):
+        return toy_run(config)
+    deadline = time.monotonic() + 10.0
+    while (not list(Path(config["cache"]).glob("*/*.json"))
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    raise RuntimeError("point failed")
 
 
 #: Synthetic source tree: entry imports core (transitively via the
@@ -64,20 +71,19 @@ def make_src(tmp_path):
     return src
 
 
-def toy_spec(points=None, deterministic=True, run=toy_run, claims=()):
+def toy_spec(points=None, run=toy_run, claims=()):
     return ExperimentSpec(
         name="toy", run=run,
         points=points or (PointSpec(name="a", config={"x": 1}),
                           PointSpec(name="b", config={"x": 2})),
         code_roots=("pkg/entry.py",),
-        deterministic=deterministic,
         claims=claims,
     )
 
 
 def fleet(tmp_path, src, **kwargs):
     kwargs.setdefault("cache", ResultCache(tmp_path / "xp-cache"))
-    return run_fleet([toy_spec()], seed=11, src_root=src, **kwargs)
+    return run_fleet([toy_spec()], src_root=src, **kwargs)
 
 
 # -- import closure -----------------------------------------------------------
@@ -138,19 +144,6 @@ class TestImportClosure:
         assert code_fingerprints([toy_spec()], src) == before
 
 
-# -- seeds --------------------------------------------------------------------
-
-class TestPointSeed:
-    def test_deterministic_across_calls(self):
-        assert point_seed(1, "e", "p") == point_seed(1, "e", "p")
-
-    def test_distinct_per_point_and_experiment_and_seed(self):
-        seeds = {point_seed(s, e, p)
-                 for s in (0, 1) for e in ("e1", "e2")
-                 for p in ("p1", "p2")}
-        assert len(seeds) == 8
-
-
 # -- cache hits + invalidation ------------------------------------------------
 
 class TestCacheHits:
@@ -194,17 +187,10 @@ class TestCacheHits:
             PointSpec(name="a", config={"x": 1}),
             PointSpec(name="b", config={"x": 3}),   # was x=2
         ))]
-        result = run_fleet(changed, seed=11, src_root=src,
+        result = run_fleet(changed, src_root=src,
                            cache=ResultCache(tmp_path / "xp-cache"))
         assert result.hits == 1 and result.misses == 1
         assert [r.point for r in result.results if not r.cached] == ["b"]
-
-    def test_fleet_seed_is_part_of_the_key(self, tmp_path):
-        src = make_src(tmp_path)
-        fleet(tmp_path, src)
-        result = run_fleet([toy_spec()], seed=12, src_root=src,
-                           cache=ResultCache(tmp_path / "xp-cache"))
-        assert result.hits == 0
 
     def test_no_cache_object_recomputes_silently(self, tmp_path):
         src = make_src(tmp_path)
@@ -218,7 +204,7 @@ class TestCacheHits:
         src = make_src(tmp_path)
         module_path = src / "pkg" / "runs.py"
         module_path.write_text(
-            '"""Runs."""\n\n\ndef run(config, seed):\n'
+            '"""Runs."""\n\n\ndef run(config):\n'
             '    return {"value": config["x"]}\n')
         loader = importlib.util.spec_from_file_location(
             "xp_toy_runs", module_path)
@@ -226,13 +212,13 @@ class TestCacheHits:
         loader.loader.exec_module(module)
         spec = toy_spec(run=module.run)
         cache = ResultCache(tmp_path / "xp-cache")
-        assert run_fleet([spec], seed=11, src_root=src,
+        assert run_fleet([spec], src_root=src,
                          cache=cache).misses == 2
-        assert run_fleet([spec], seed=11, src_root=src,
+        assert run_fleet([spec], src_root=src,
                          cache=cache).hits == 2
         module_path.write_text(module_path.read_text().replace(
             'config["x"]', '-1'))
-        result = run_fleet([spec], seed=11, src_root=src, cache=cache)
+        result = run_fleet([spec], src_root=src, cache=cache)
         assert result.hits == 0 and result.misses == 2
 
 
@@ -281,32 +267,45 @@ class TestCorruption:
 
 class TestSharding:
     def test_shard_count_independence(self, tmp_path):
-        """Same seed, -j 1 vs -j 4: identical merged results."""
+        """-j 1 vs -j 4: identical merged results."""
         src = make_src(tmp_path)
         points = tuple(PointSpec(name=f"p{i}", config={"x": i})
                        for i in range(8))
-        serial = run_fleet([toy_spec(points=points)], seed=5,
-                           src_root=src,
+        serial = run_fleet([toy_spec(points=points)], src_root=src,
                            cache=ResultCache(tmp_path / "c1"), jobs=1)
-        sharded = run_fleet([toy_spec(points=points)], seed=5,
-                            src_root=src,
+        sharded = run_fleet([toy_spec(points=points)], src_root=src,
                             cache=ResultCache(tmp_path / "c2"), jobs=4)
         assert (canonical_json(serial.summaries())
                 == canonical_json(sharded.summaries()))
-        assert ([(r.experiment, r.point, r.seed) for r in serial.results]
-                == [(r.experiment, r.point, r.seed)
-                    for r in sharded.results])
+        assert ([(r.experiment, r.point) for r in serial.results]
+                == [(r.experiment, r.point) for r in sharded.results])
 
     def test_sharded_cold_then_serial_warm(self, tmp_path):
         src = make_src(tmp_path)
         cache = ResultCache(tmp_path / "xp-cache")
-        cold = run_fleet([toy_spec()], seed=11, src_root=src,
-                         cache=cache, jobs=4)
-        warm = run_fleet([toy_spec()], seed=11, src_root=src,
-                         cache=cache, jobs=1)
+        cold = run_fleet([toy_spec()], src_root=src, cache=cache, jobs=4)
+        warm = run_fleet([toy_spec()], src_root=src, cache=cache, jobs=1)
         assert warm.hits == 2
         assert (canonical_json(warm.summaries())
                 == canonical_json(cold.summaries()))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_finished_points_survive_a_raising_point(self, tmp_path,
+                                                     jobs):
+        """A point that raises aborts the run, but every point that
+        finished before it is already stored: a rerun serves it."""
+        src = make_src(tmp_path)
+        cache = ResultCache(tmp_path / "xp-cache")
+        ok = PointSpec(name="a", config={"x": 1})
+        failing = PointSpec(name="b", config={
+            "x": 2, "fail": True, "cache": str(cache.directory)})
+        with pytest.raises(RuntimeError, match="point failed"):
+            run_fleet([toy_spec(points=(ok, failing), run=failing_run)],
+                      src_root=src, cache=cache, jobs=jobs)
+        rerun = run_fleet([toy_spec(points=(ok,), run=failing_run)],
+                          src_root=src, cache=cache)
+        assert rerun.hits == 1
+        assert rerun.summaries() == {"toy": {"a": {"value": 2}}}
 
 
 # -- divergence ---------------------------------------------------------------
@@ -317,40 +316,25 @@ class TestDivergence:
         cache = ResultCache(tmp_path / "xp-cache")
         spec = toy_spec()
         code = code_fingerprints([spec], src)["toy"]
-        seed = point_seed(11, "toy", "a")
-        cache.put("toy", "a", code, {"x": 1}, seed, {"value": 999,
-                                                     "seed": seed})
-        result = run_fleet([spec], seed=11, src_root=src, cache=cache,
+        cache.put("toy", "a", code, {"x": 1}, {"value": 999})
+        result = run_fleet([spec], src_root=src, cache=cache,
                            serve_hits=False)
         assert len(result.divergences) == 1
         assert result.divergences[0].point == "a"
         assert result.exit_code == 1
         # The verification pass refreshed the entry with the truth.
-        follow_up = run_fleet([spec], seed=11, src_root=src,
+        follow_up = run_fleet([spec], src_root=src,
                               cache=cache, serve_hits=False)
         assert follow_up.divergences == []
 
     def test_matching_recompute_is_not_divergence(self, tmp_path):
         src = make_src(tmp_path)
         cache = ResultCache(tmp_path / "xp-cache")
-        run_fleet([toy_spec()], seed=11, src_root=src, cache=cache)
-        verify = run_fleet([toy_spec()], seed=11, src_root=src,
+        run_fleet([toy_spec()], src_root=src, cache=cache)
+        verify = run_fleet([toy_spec()], src_root=src,
                            cache=cache, serve_hits=False)
         assert verify.hits == 0          # everything recomputed
         assert verify.divergences == []  # and everything matched
-        assert verify.exit_code == 0
-
-    def test_nondeterministic_experiments_exempt(self, tmp_path):
-        src = make_src(tmp_path)
-        cache = ResultCache(tmp_path / "xp-cache")
-        spec = ExperimentSpec(
-            name="toy", run=flaky_run,
-            points=(PointSpec(name="a", config={"x": 1}),),
-            code_roots=("pkg/entry.py",), deterministic=False)
-        run_fleet([spec], seed=11, src_root=src, cache=cache)
-        verify = run_fleet([spec], seed=11, src_root=src, cache=cache,
-                           serve_hits=False)
-        assert verify.divergences == []  # timing points never diverge
         assert verify.exit_code == 0
 
 
@@ -371,8 +355,7 @@ _CLAIMS = (Claim("value_is_even", 1, value_is_even),
 class TestClaims:
     def test_broken_claim_is_named_and_fails_the_run(self, tmp_path):
         src = make_src(tmp_path)
-        result = run_fleet([toy_spec(claims=_CLAIMS)], seed=11,
-                           src_root=src,
+        result = run_fleet([toy_spec(claims=_CLAIMS)], src_root=src,
                            cache=ResultCache(tmp_path / "xp-cache"))
         assert result.claims_checked == 2
         assert [(b.experiment, b.claim, b.paper_claim)
@@ -384,10 +367,9 @@ class TestClaims:
     def test_claims_checked_on_a_fully_warm_run(self, tmp_path):
         src = make_src(tmp_path)
         cache = ResultCache(tmp_path / "xp-cache")
-        run_fleet([toy_spec(claims=_CLAIMS)], seed=11, src_root=src,
-                  cache=cache)
-        warm = run_fleet([toy_spec(claims=_CLAIMS)], seed=11,
-                         src_root=src, cache=cache)
+        run_fleet([toy_spec(claims=_CLAIMS)], src_root=src, cache=cache)
+        warm = run_fleet([toy_spec(claims=_CLAIMS)], src_root=src,
+                         cache=cache)
         assert warm.hits == warm.points == 2
         assert warm.claims_checked == 2
         assert [b.claim for b in warm.broken_claims] == [
@@ -396,17 +378,17 @@ class TestClaims:
 
     def test_holding_claims_exit_zero(self, tmp_path):
         src = make_src(tmp_path)
-        result = run_fleet([toy_spec(claims=_CLAIMS[:1])], seed=11,
+        result = run_fleet([toy_spec(claims=_CLAIMS[:1])],
                            src_root=src, cache=None)
         assert result.claims_checked == 1
         assert result.broken_claims == [] and result.exit_code == 0
 
-    def test_perf_engine_has_no_claims(self, tmp_path):
-        from repro.xp import get_experiments
-
-        specs = get_experiments(["perf_engine"])
-        assert specs[0].claims == ()
-        result = run_fleet(specs, cache=ResultCache(tmp_path / "c"))
+    def test_spec_without_claims_checks_none(self, tmp_path):
+        src = make_src(tmp_path)
+        spec = toy_spec()
+        assert spec.claims == ()
+        result = run_fleet([spec], src_root=src,
+                           cache=ResultCache(tmp_path / "c"))
         assert result.claims_checked == 0
         assert result.broken_claims == [] and result.exit_code == 0
 
@@ -472,17 +454,17 @@ class TestRegistry:
             "e18_noncontiguous_io", "e19_decomposition",
             "e20_fault_campaigns", "e21_detection_tradeoff",
             "e22_jobs_service", "e23_gossip_membership",
-            "perf_engine",
         ]
         assert len(set(names)) == len(names)
-        for spec in EXPERIMENTS[:19]:
+        for spec in EXPERIMENTS:
             claim_names = [claim.name for claim in spec.claims]
             assert claim_names, f"{spec.name} has no claims"
             assert len(set(claim_names)) == len(claim_names), spec.name
             for claim in spec.claims:
                 assert claim.paper_claim in range(1, 7), claim.name
-        assert [s.name for s in get_experiments(["perf_engine"])] \
-            == ["perf_engine"]
+        assert sum(len(spec.claims) for spec in EXPERIMENTS) == 161
+        assert [s.name for s in get_experiments(["e22_jobs_service"])] \
+            == ["e22_jobs_service"]
         with pytest.raises(ValueError, match="unknown experiment"):
             get_experiments(["nope"])
 
@@ -497,10 +479,3 @@ class TestRegistry:
         digests = code_fingerprints(EXPERIMENTS, src)
         assert sorted(digests) == sorted(s.name for s in EXPERIMENTS)
         assert all(len(digest) == 64 for digest in digests.values())
-
-    def test_perf_engine_point_runs(self):
-        from repro.xp.experiments import perf_engine_run
-
-        summary = perf_engine_run({"queue": "wheel", "events": 500}, 3)
-        assert summary["events"] == 500
-        assert summary["events_per_second"] > 0
