@@ -17,6 +17,11 @@ hosts; the fabric maps each direction of a physical link onto its own
 contention resource (links are full duplex, as real switched fabrics
 are).  Routing is deterministic — same (src, dst) always takes the same
 path — so simulated runs are reproducible.
+
+Routes are computed on every call and never memoised: the fat tree's is
+two or four hops in closed form, so a fabric that asks once per transfer
+holds no state that grows with the number of (src, dst) pairs it has
+carried.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ __all__ = [
     "FatTreeTopology",
     "TorusTopology",
     "HypercubeTopology",
-    "RouteCache",
     "canonical_link",
 ]
 
@@ -460,22 +464,3 @@ class HypercubeTopology(Topology):
     def bisection_links(self) -> int:
         """Half the hosts: one dimension's worth of links crosses."""
         return self.hosts // 2
-
-
-#: Routing cache shared by fabrics: topologies are immutable after build.
-class RouteCache:
-    """Memoises ``topology.route`` — route computation dominates large
-    simulated collectives otherwise."""
-
-    def __init__(self, topology: Topology) -> None:
-        self.topology = topology
-        self._cache: Dict[Tuple[int, int], List[Edge]] = {}
-
-    def route(self, src: int, dst: int) -> List[Edge]:
-        """The topology's route for (src, dst), memoised."""
-        key = (src, dst)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self.topology.route(src, dst)
-            self._cache[key] = hit
-        return hit

@@ -19,6 +19,8 @@ module (which defines their run functions and claims), changes.
 from __future__ import annotations
 
 import math
+import re
+from collections import Counter
 from typing import (
     Any,
     Callable,
@@ -324,9 +326,7 @@ def e22_run(config: Mapping[str, Any]) -> Dict[str, Any]:
         completed=outcome.completed,
         unfinished=outcome.unfinished,
         violations=len(outcome.violations),
-        # Durable-log effect records per job id (ids are 1-based).
-        effects_per_job=[outcome.log_text.count(f"effect job={job} ")
-                         for job in range(1, _E22_TRACE_JOBS + 1)],
+        effects_per_job=_effects_per_job(outcome.log_text),
         grants=outcome.grants,
         expiries=outcome.expiries,
         requeues=outcome.requeues,
@@ -338,6 +338,16 @@ def e22_run(config: Mapping[str, Any]) -> Dict[str, Any]:
         goodput=outcome.goodput,
     )
     return summary
+
+
+def _effects_per_job(log_text: str) -> List[int]:
+    """Durable-log effect records per job id (ids are 1-based), up to
+    the largest id with an effect and never fewer than the trace's
+    jobs, so an effect on a job the trace never had shows up."""
+    counts = Counter(int(job) for job in
+                     re.findall(r"effect job=(\d+) ", log_text))
+    last = max([_E22_TRACE_JOBS, *counts])
+    return [counts[job] for job in range(1, last + 1)]
 
 
 #: The full campaign and its clean twin: what the safety claims cover.
@@ -376,7 +386,7 @@ _E22 = ExperimentSpec(
         Claim("every_trace_job_completes", 5, lambda p: _e22_both(
             p, lambda s: s["completed"] == _E22_TRACE_JOBS)),
         Claim("every_effect_lands_exactly_once", 5, lambda p: _e22_both(
-            p, lambda s: all(n == 1 for n in s["effects_per_job"]))),
+            p, lambda s: s["effects_per_job"] == [1] * _E22_TRACE_JOBS)),
         Claim("full_campaign_dedups_both_retries", 5,
               lambda p: p["crash2"]["dedup_hits"] == 2),
         Claim("clean_twin_dedups_both_retries", 5,

@@ -15,7 +15,6 @@ from repro.network import (
     get_interconnect,
 )
 from repro.network.design import price_fabric
-from repro.network.topology import RouteCache
 
 
 def assert_route_valid(topology, src, dst):
@@ -169,14 +168,6 @@ class TestHypercube:
     def test_validation(self):
         with pytest.raises(ValueError):
             HypercubeTopology(0)
-
-
-class TestRouteCache:
-    def test_cache_returns_same_routes(self):
-        topology = FatTreeTopology(32, hosts_per_leaf=8)
-        cache = RouteCache(topology)
-        assert cache.route(1, 30) == topology.route(1, 30)
-        assert cache.route(1, 30) is cache.route(1, 30)  # memoised
 
 
 class TestRoutingProperties:

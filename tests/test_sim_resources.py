@@ -74,6 +74,41 @@ class TestResource:
         assert resource.in_use == 1
         assert resource.queue_length == 3
 
+    def test_fresh_resource_reports_an_empty_queue(self, sim):
+        resource = Resource(sim, capacity=2, name="nic3")
+        assert resource.queue_length == 0
+        assert repr(resource) == "<Resource nic3 0/2 q=0>"
+        assert resource.request().name == "nic3.grant"
+        assert repr(resource) == "<Resource nic3 1/2 q=0>"
+
+    def test_wait_queue_keeps_fifo_and_drains(self, sim):
+        resource = Resource(sim, capacity=1, name="link")
+        order = []
+
+        def user(name):
+            yield resource.request()
+            order.append((name, sim.now))
+            yield sim.timeout(1.0)
+            resource.release()
+
+        for name in "abc":
+            sim.process(user(name))
+        sim.run(until=0.5)
+        assert resource.queue_length == 2
+        assert repr(resource) == "<Resource link 1/1 q=2>"
+        sim.run()
+        assert resource.queue_length == 0
+        assert resource.in_use == 0
+        # A second burst reuses the drained queue, still first come,
+        # first served.
+        for name in "def":
+            sim.process(user(name))
+        sim.run()
+        assert order == [("a", 0.0), ("b", 1.0), ("c", 2.0),
+                         ("d", 3.0), ("e", 4.0), ("f", 5.0)]
+        assert resource.queue_length == 0
+        assert resource.in_use == 0
+
 
 class TestStore:
     def test_put_then_get(self, sim):
