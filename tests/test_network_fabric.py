@@ -213,21 +213,30 @@ _PIN_HOSTS = 64
 _PIN_TRANSFERS = 300
 
 
-def _run_pinned_traffic(faults):
-    """Run the pinned traffic under DetSan and return what it pins.
+def _outage_plan():
+    """Leaf 0's link to spine 0 (``s0``-``s8``) is down for [0.2, 0.7) ms,
+    so routes through it are re-routed by ``route_avoiding`` and
+    transfers on it in flight are dropped, and host 5's uplink
+    blackholes its sends for [0.3, 0.6) ms."""
+    return (FabricFaultPlan()
+            .link_down(("s", 0), ("s", 8), 0.2e-3, 0.7e-3)
+            .link_down_oneway(("h", 5), ("s", 0), 0.3e-3, 0.6e-3))
 
-    With ``faults``, leaf 0's link to spine 0 (``s0``-``s8``) is down
-    for [0.2, 0.7) ms, so routes through it are re-routed by
-    ``route_avoiding`` and transfers on it in flight are dropped, and
-    host 5's uplink blackholes its sends for [0.3, 0.6) ms.
-    """
+
+def _loss_plan():
+    """No link or node window: host 5's one-way blackhole plus random
+    drops and corruptions drawn from a named stream."""
+    return (FabricFaultPlan(drop_probability=0.05, corrupt_probability=0.05,
+                            rng=RandomStreams(2002).get("fabric.pin.loss"))
+            .link_down_oneway(("h", 5), ("s", 0), 0.3e-3, 0.6e-3))
+
+
+def _run_pinned_traffic(plan):
+    """Run the pinned traffic under DetSan, with ``plan`` (or no fault
+    plan), and return the digest, events folded, final clock and
+    completed transfers."""
     recorder = DetSanRecorder(keep_records=False)
     sim = Simulator(detsan=recorder)
-    plan = None
-    if faults:
-        plan = (FabricFaultPlan()
-                .link_down(("s", 0), ("s", 8), 0.2e-3, 0.7e-3)
-                .link_down_oneway(("h", 5), ("s", 0), 0.3e-3, 0.6e-3))
     fabric = Fabric(sim, FatTreeTopology(_PIN_HOSTS, hosts_per_leaf=8,
                                          spines=2),
                     get_interconnect("infiniband_4x"), fault_plan=plan)
@@ -247,9 +256,8 @@ def _run_pinned_traffic(faults):
                            int(rng.integers(1, 65_536))),
                     name=f"t{index}")
     sim.run()
-    counters = (plan.reroutes, plan.drops) if plan is not None else (0, 0)
     return (recorder.digest, recorder.events_folded, sim.now,
-            fabric.transfer_count, *counters)
+            fabric.transfer_count)
 
 
 class TestSchedulingStreamPinned:
@@ -258,14 +266,23 @@ class TestSchedulingStreamPinned:
     moves the digest even when timings agree."""
 
     def test_contended_fat_tree(self):
-        assert _run_pinned_traffic(faults=False) == (
+        assert _run_pinned_traffic(None) == (
             "7a0ecad7c3b7f8f6b8137148936e9c4553f705ab873d257b6c9d11005044dcf8",
-            3228, 0.0013291451154015625, 300, 0, 0)
+            3228, 0.0013291451154015625, 300)
 
     def test_link_outage_and_blackhole(self):
-        assert _run_pinned_traffic(faults=True) == (
+        plan = _outage_plan()
+        assert _run_pinned_traffic(plan) == (
             "183ccab95575e9e3d244b199685e1b47f9229af47f6ddcf46fa403f20df787d2",
-            3221, 0.0014683558315381835, 293, 10, 7)
+            3221, 0.0014683558315381835, 293)
+        assert (plan.reroutes, plan.drops) == (10, 7)
+
+    def test_blackhole_and_random_loss_without_outages(self):
+        plan = _loss_plan()
+        assert _run_pinned_traffic(plan) == (
+            "24991139badcead33e34d60cc9ddfa9a896b362da77611b8ced32affdcc67c71",
+            3207, 0.0013291451154015625, 279)
+        assert (plan.drops, plan.blackholes, plan.corruptions) == (21, 5, 16)
 
 
 class TestStateBoundedByTopology:
