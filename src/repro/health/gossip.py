@@ -399,7 +399,7 @@ class GossipMonitor(MembershipMonitor):
         self.heartbeats_sent += 1
         self.bytes_sent_by[src] += nbytes
         try:
-            yield from self.fabric.transfer(src, dst, nbytes)
+            yield from self.fabric.transfer_ex(src, dst, nbytes)
         except (TransferDropped, NetworkUnreachable):
             self.heartbeats_lost += 1
             return False

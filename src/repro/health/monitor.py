@@ -530,8 +530,8 @@ class HeartbeatMonitor(MembershipMonitor):
         resources (the in-flight packet completes or is lost on its
         own, exactly like application traffic)."""
         try:
-            yield from self.fabric.transfer(node, self.spec.monitor_host,
-                                            self.spec.heartbeat_bytes)
+            yield from self.fabric.transfer_ex(node, self.spec.monitor_host,
+                                               self.spec.heartbeat_bytes)
         except (TransferDropped, NetworkUnreachable):
             self.heartbeats_lost += 1
             return

@@ -615,8 +615,8 @@ class JobService:
     def _post_body(self, src: int, dst: int,
                    message: Message) -> Generator[Event, Any, None]:
         try:
-            yield from self.fabric.transfer(src, dst,
-                                            self.config.message_bytes)
+            yield from self.fabric.transfer_ex(src, dst,
+                                               self.config.message_bytes)
         except (TransferDropped, NetworkUnreachable):
             self.messages_lost += 1
             return

@@ -374,18 +374,15 @@ class Communicator:
         world = self.world
         dest_world = self._to_world(dest)
         src_world = self._to_world(self.rank)
-        if world.fabric.fault_plan is not None:
-            try:
-                outcome = yield from world.fabric.transfer_ex(
-                    src_world, dest_world, nbytes)
-            except (TransferDropped, NetworkUnreachable):
-                world.stats.losses += 1
-                return
-            if outcome.corrupted:
-                world.stats.corrupt_discarded += 1
-                return
-        else:
-            yield from world.fabric.transfer(src_world, dest_world, nbytes)
+        try:
+            outcome = yield from world.fabric.transfer_ex(
+                src_world, dest_world, nbytes)
+        except (TransferDropped, NetworkUnreachable):
+            world.stats.losses += 1
+            return
+        if outcome.corrupted:
+            world.stats.corrupt_discarded += 1
+            return
         envelope = Envelope(source=self.rank, dest=dest, tag=tag,
                             payload=payload, nbytes=nbytes, ack=ack,
                             context=self._context)
@@ -430,14 +427,9 @@ class Communicator:
                 raise RankFailure({dest}, f"send to dead rank {dest}")
             attempt += 1
             try:
-                corrupted = False
-                if fabric.fault_plan is not None:
-                    outcome = yield from fabric.transfer_ex(
-                        src_world, dest_world, nbytes)
-                    corrupted = outcome.corrupted
-                else:
-                    yield from fabric.transfer(src_world, dest_world, nbytes)
-                if corrupted:
+                outcome = yield from fabric.transfer_ex(
+                    src_world, dest_world, nbytes)
+                if outcome.corrupted:
                     # Receiver NIC drops the bad frame: no ack will come.
                     world.stats.corrupt_discarded += 1
                     raise TransferDropped("corrupted frame discarded")
@@ -453,8 +445,8 @@ class Communicator:
                     world.stats.duplicates += 1
                 # Acknowledgment rides back over the fabric; its loss is
                 # survivable (the retransmit hits the dedup table).
-                yield from fabric.transfer(dest_world, src_world,
-                                           ENVELOPE_BYTES)
+                yield from fabric.transfer_ex(dest_world, src_world,
+                                              ENVELOPE_BYTES)
                 world.stats.acks += 1
                 return None
             except (TransferDropped, NetworkUnreachable):

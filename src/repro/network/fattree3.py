@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.network.topology import Edge, Node, Topology, _directed
+from repro.network.topology import Edge, Node, Topology
 
 __all__ = ["ThreeLevelFatTreeTopology"]
 
@@ -90,31 +90,21 @@ class ThreeLevelFatTreeTopology(Topology):
         src_edge: Node = ("s", self._edge_of(src))
         dst_edge: Node = ("s", self._edge_of(dst))
         if src_edge == dst_edge:
-            return [_directed(a, src_edge), _directed(src_edge, b)]
+            return [(a, src_edge), (src_edge, b)]
 
         src_pod, dst_pod = self.pod_of(src), self.pod_of(dst)
         if src_pod == dst_pod:
             agg: Node = ("s", self._agg_for(src, dst, src_pod))
-            return [
-                _directed(a, src_edge),
-                _directed(src_edge, agg),
-                _directed(agg, dst_edge),
-                _directed(dst_edge, b),
-            ]
+            return [(a, src_edge), (src_edge, agg), (agg, dst_edge),
+                    (dst_edge, b)]
 
         agg_index = (src * 31 + dst * 7) % self._half
         up_agg: Node = ("s", self._agg_base + src_pod * self._half + agg_index)
         core: Node = ("s", self._core_for(src, dst, agg_index))
         down_agg: Node = ("s", self._agg_base + dst_pod * self._half
                           + agg_index)
-        return [
-            _directed(a, src_edge),
-            _directed(src_edge, up_agg),
-            _directed(up_agg, core),
-            _directed(core, down_agg),
-            _directed(down_agg, dst_edge),
-            _directed(dst_edge, b),
-        ]
+        return [(a, src_edge), (src_edge, up_agg), (up_agg, core),
+                (core, down_agg), (down_agg, dst_edge), (dst_edge, b)]
 
     def diameter_hops(self) -> int:
         """6 hops through the core (2 for the degenerate k=2 tree)."""

@@ -19,9 +19,9 @@ are).  Routing is deterministic — same (src, dst) always takes the same
 path — so simulated runs are reproducible.
 
 Routes are computed on every call and never memoised: the fat tree's is
-two or four hops in closed form, so a fabric that asks once per transfer
-holds no state that grows with the number of (src, dst) pairs it has
-carried.
+two or four ``(from, to)`` tuples built inline in closed form, so a
+fabric that asks once per transfer holds no state that grows with the
+number of (src, dst) pairs it has carried.
 """
 
 from __future__ import annotations
@@ -39,11 +39,6 @@ __all__ = [
 
 Node = Tuple[str, int]
 Edge = Tuple[Node, Node]
-
-
-def _directed(a: Node, b: Node) -> Edge:
-    """Directed traversal step: one full-duplex direction of a link."""
-    return (a, b)
 
 
 def canonical_link(a: Node, b: Node) -> Edge:
@@ -170,8 +165,7 @@ class Topology:
                         while parents[path[-1]] is not None:
                             path.append(parents[path[-1]])
                         path.reverse()
-                        return [_directed(u, v)
-                                for u, v in zip(path, path[1:])]
+                        return list(zip(path, path[1:]))
                     next_frontier.append(neighbour)
             frontier = next_frontier
         return None
@@ -218,7 +212,7 @@ class SingleSwitchTopology(Topology):
         if src == dst:
             return []
         switch = ("s", 0)
-        return [_directed(a, switch), _directed(switch, b)]
+        return [(a, switch), (switch, b)]
 
     def diameter_hops(self) -> int:
         """Every pair is exactly two hops apart."""
@@ -283,14 +277,9 @@ class FatTreeTopology(Topology):
         a, b = self.host_node(src), self.host_node(dst)
         leaf_a, leaf_b = self._leaf_of(src), self._leaf_of(dst)
         if leaf_a == leaf_b:
-            return [_directed(a, leaf_a), _directed(leaf_a, b)]
+            return [(a, leaf_a), (leaf_a, b)]
         spine = self._spine_for(src, dst)
-        return [
-            _directed(a, leaf_a),
-            _directed(leaf_a, spine),
-            _directed(spine, leaf_b),
-            _directed(leaf_b, b),
-        ]
+        return [(a, leaf_a), (leaf_a, spine), (spine, leaf_b), (leaf_b, b)]
 
     def route_avoiding(
         self, src: int, dst: int,
@@ -317,7 +306,7 @@ class FatTreeTopology(Topology):
                 or canonical_link(leaf_b, b) in down_links):
             return None
         if leaf_a == leaf_b:
-            return [_directed(a, leaf_a), _directed(leaf_a, b)]
+            return [(a, leaf_a), (leaf_a, b)]
         preferred = (src * 1_000_003 + dst) % self.num_spines
         for offset in range(self.num_spines):
             index = (preferred + offset) % self.num_spines
@@ -327,12 +316,8 @@ class FatTreeTopology(Topology):
             if (canonical_link(leaf_a, spine) in down_links
                     or canonical_link(spine, leaf_b) in down_links):
                 continue
-            return [
-                _directed(a, leaf_a),
-                _directed(leaf_a, spine),
-                _directed(spine, leaf_b),
-                _directed(leaf_b, b),
-            ]
+            return [(a, leaf_a), (leaf_a, spine), (spine, leaf_b),
+                    (leaf_b, b)]
         return None
 
     def diameter_hops(self) -> int:
@@ -413,8 +398,7 @@ class TorusTopology(Topology):
                 here = self.rank_of(tuple(position))
                 position[dim] = (position[dim] + step) % k
                 there = self.rank_of(tuple(position))
-                edges.append(_directed(self.host_node(here),
-                                        self.host_node(there)))
+                edges.append((self.host_node(here), self.host_node(there)))
         return edges
 
     def diameter_hops(self) -> int:
@@ -452,8 +436,8 @@ class HypercubeTopology(Topology):
         for bit in range(self.dimension):
             if difference & (1 << bit):
                 nxt = position ^ (1 << bit)
-                edges.append(_directed(self.host_node(position),
-                                        self.host_node(nxt)))
+                edges.append((self.host_node(position),
+                              self.host_node(nxt)))
                 position = nxt
         return edges
 

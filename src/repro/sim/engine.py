@@ -26,7 +26,9 @@ sees every delivery.
 
 Processes are plain generators.  Each ``yield`` hands the engine an
 :class:`~repro.sim.event.Event`; the engine resumes the generator with the
-event's value (or throws the event's exception into it) when it fires::
+event's value (or throws the event's exception into it) when it fires.
+A resume is one Python frame, ``Process._resume``, which also registers
+the process on the event it yields next::
 
     def worker(sim):
         yield sim.timeout(1.5)          # sleep in virtual time
@@ -59,11 +61,13 @@ from repro.sim.equeue import CalendarEventQueue, Entry, HeapEventQueue
 from repro.sim.event import (
     _CANCELLED,
     _DELIVERED,
+    _FAILED,
+    _PENDING,
     _POOL_MAX,
+    _SUCCEEDED,
     _TIMEOUT_NAMES,
     _TIMEOUT_POOL,
     Event,
-    EventStatus,
     Timeout,
     _timeout_name,
 )
@@ -87,8 +91,6 @@ NORMAL = 1
 DEFAULT_QUEUE = "wheel"
 
 _INF = float("inf")
-_FAILED = EventStatus.FAILED
-_SUCCEEDED = EventStatus.SUCCEEDED
 
 
 class SimulationError(RuntimeError):
@@ -145,10 +147,12 @@ class Process(Event):
         # be reaped by the cyclic collector mid-run, because GeneratorExit
         # would close their open spans at a GC-dependent instant.
         sim._live_processes[self] = None
-        # Kick off the generator via an immediately-succeeding event.
+        # Kick off the generator via an immediately-succeeding event,
+        # scheduled directly: a fresh event needs no trigger checks.
         bootstrap = Event(sim, f"init:{self.name}")
         bootstrap._callbacks = [self._resume]
-        bootstrap.succeed()
+        bootstrap._status = _SUCCEEDED
+        sim._schedule_event(bootstrap)
 
     @property
     def is_alive(self) -> bool:
@@ -166,20 +170,20 @@ class Process(Event):
         interrupt_event = Event(self.sim, f"interrupt:{self.name}")
         interrupt_event.defused = True
         interrupt_event._callbacks = [self._resume_with_interrupt]
-        interrupt_event._status = EventStatus.FAILED
+        interrupt_event._status = _FAILED
         interrupt_event._value = Interrupt(cause)
         self.sim._schedule_event(interrupt_event, 0.0, priority=URGENT)
 
     # -- engine plumbing -------------------------------------------------
 
     def _resume_with_interrupt(self, event: Event) -> None:
-        if self.triggered:
+        if self._status is not _PENDING:
             # The process finished between the interrupt being scheduled and
             # delivered; interrupting a corpse is a silent no-op at this
             # point (the caller's interrupt() already raced legitimately).
             return
         waiting = self._waiting_on
-        if (waiting is not None and waiting.triggered
+        if (waiting is not None and waiting._status is not _PENDING
                 and waiting._scheduled_at is not None
                 and waiting._scheduled_at <= self.sim.now):
             # The wakeup this process is waiting for is due at this very
@@ -189,32 +193,32 @@ class Process(Event):
             return
         # Detach from whatever we were waiting on: when that event later
         # fires, _resume must ignore it (we already moved on).
-        if self._waiting_on is not None:
-            self._abandoned.append(self._waiting_on)
+        if waiting is not None:
+            self._abandoned.append(waiting)
             self._waiting_on = None
-        self._step(event)
+        self._resume(event)
 
     def _resume(self, event: Event) -> None:
-        if event in self._abandoned:
+        # One Python frame per resume: the stale-wakeup checks, the
+        # generator step and the next wait's registration all run here,
+        # and statuses are compared by identity, not through properties.
+        if self._abandoned and event in self._abandoned:
             # Stale wakeup from an event we abandoned after an interrupt.
             self._abandoned.remove(event)
-            if not event.ok:
+            if event._status is not _SUCCEEDED:
                 event.defused = True
             return
-        if self.triggered:
-            if not event.ok:
+        if self._status is not _PENDING:
+            if event._status is not _SUCCEEDED:
                 event.defused = True
             return
         self._waiting_on = None
-        self._step(event)
-
-    def _step(self, event: Event) -> None:
         sim = self.sim
         sim._active_process = self
         if sim._obs_enabled:
             sim.obs.set_track(self._obs_track)
         try:
-            if event.ok:
+            if event._status is _SUCCEEDED:
                 target = self.generator.send(event._value)
             else:
                 event.defused = True
@@ -253,9 +257,8 @@ class Process(Event):
             self.fail(SimulationError("yielded event belongs to another simulator"))
             return
         self._waiting_on = target
-        # Inlined add_callback: this registration runs once per process
-        # step, which makes it one of the three hottest call sites in the
-        # engine; the generic method costs a LOAD_METHOD + four branches.
+        # Inlined add_callback: this registration runs once per resume,
+        # and the generic method costs a call and four branches.
         callbacks = target._callbacks
         if callbacks is None:
             target._callbacks = [self._resume]
@@ -426,19 +429,24 @@ class Simulator:
         queue = self._queue
         if self._wheel:
             # Inlined CalendarEventQueue.push (this is the engine's
-            # hottest call site after timeout()).
+            # hottest call site after timeout()).  Most pushes here are
+            # same-instant grants, bootstraps and completions, so the
+            # active time is tested before the slot dict is probed: the
+            # queue keeps the active time out of _times, so it never has
+            # a pending slot of its own.
             queue._count += 1
             if priority != URGENT:
-                slots = queue._slots
-                slot = slots.get(when)
-                if slot is not None:
-                    slot.append(event)
-                elif when == queue._active_time:
+                if when == queue._active_time:
                     queue._active.append(event)
                 else:
-                    slots[when] = [event]
-                    if when not in queue._urgent:
-                        heappush(queue._times, when)
+                    slots = queue._slots
+                    slot = slots.get(when)
+                    if slot is not None:
+                        slot.append(event)
+                    else:
+                        slots[when] = [event]
+                        if when not in queue._urgent:
+                            heappush(queue._times, when)
             else:
                 queue._push_urgent_uncounted(when, event)
         else:

@@ -137,12 +137,15 @@ class CalendarEventQueue:
         event._seq = seq
         self._count += 1
         if priority != 0:
+            if when == self._active_time:
+                # The active time is never in ``_times``, so it has no
+                # pending slot: no need to probe the slot dict first.
+                self._active.append(event)
+                return
             slots = self._slots
             slot = slots.get(when)
             if slot is not None:
                 slot.append(event)
-            elif when == self._active_time:
-                self._active.append(event)
             else:
                 slots[when] = [event]
                 # The "time already pending" invariant is checked once:

@@ -89,6 +89,13 @@ _CANCELLED = _CallbacksSentinel("cancelled")
 
 _Callbacks = Union[None, List[Callable[["Event"], None]], _CallbacksSentinel]
 
+#: Status members bound to module names: the engine's hot paths compare
+#: ``_status`` by identity against these instead of going through the
+#: ``triggered`` and ``ok`` properties.
+_PENDING = EventStatus.PENDING
+_SUCCEEDED = EventStatus.SUCCEEDED
+_FAILED = EventStatus.FAILED
+
 #: Recycled :class:`Timeout` instances, shared across simulators.  Only the
 #: engine's plain-mode fast loop recycles (and only objects it can prove
 #: unreferenced, via ``sys.getrefcount``); :meth:`Simulator.timeout` reuses
@@ -136,7 +143,7 @@ class Event:
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
         self.name = name
-        self._status = EventStatus.PENDING
+        self._status = _PENDING
         self._value: Any = None
         self._callbacks: _Callbacks = None
         #: A failed event whose exception was never observed by any process
@@ -162,12 +169,12 @@ class Event:
     @property
     def triggered(self) -> bool:
         """True once the event has succeeded or failed."""
-        return self._status is not EventStatus.PENDING
+        return self._status is not _PENDING
 
     @property
     def ok(self) -> bool:
         """True iff the event succeeded."""
-        return self._status is EventStatus.SUCCEEDED
+        return self._status is _SUCCEEDED
 
     @property
     def cancelled(self) -> bool:
@@ -177,7 +184,7 @@ class Event:
     @property
     def value(self) -> Any:
         """The success value or failure exception; raises while pending."""
-        if self._status is EventStatus.PENDING:
+        if self._status is _PENDING:
             raise RuntimeError(f"{self!r} has not been triggered")
         return self._value
 
@@ -185,22 +192,23 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully, delivering ``value`` to waiters."""
-        self._trigger(EventStatus.SUCCEEDED, value)
+        if self._status is not _PENDING:
+            raise RuntimeError(f"{self!r} already triggered")
+        self._status = _SUCCEEDED
+        self._value = value
+        self.sim._schedule_event(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event as failed; waiters receive ``exception``."""
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
-        self._trigger(EventStatus.FAILED, exception)
-        return self
-
-    def _trigger(self, status: EventStatus, value: Any) -> None:
-        if self._status is not EventStatus.PENDING:
+        if self._status is not _PENDING:
             raise RuntimeError(f"{self!r} already triggered")
-        self._status = status
-        self._value = value
+        self._status = _FAILED
+        self._value = exception
         self.sim._schedule_event(self)
+        return self
 
     def _deliver(self) -> None:
         """Run callbacks; invoked by the engine when this event is popped."""
@@ -286,7 +294,7 @@ class Timeout(Event):
         super().__init__(sim, name or _timeout_name(delay))
         self.delay = delay
         # Bypass succeed(): schedule the trigger directly at now+delay.
-        self._status = EventStatus.SUCCEEDED
+        self._status = _SUCCEEDED
         self._value = value
         sim._schedule_event(self, delay)
 

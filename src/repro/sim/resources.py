@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Optional, TYPE_CHECKING
 
-from repro.sim.event import Event
+from repro.sim.event import _SUCCEEDED, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -62,8 +62,12 @@ class Resource:
         """An event that succeeds when a slot is granted to the caller."""
         grant = Event(self.sim, self._grant_name)
         if self._in_use < self.capacity:
+            # A free slot: schedule the fresh grant directly rather than
+            # through succeed(), which would re-check its pending status.
             self._in_use += 1
-            grant.succeed(self)
+            grant._status = _SUCCEEDED
+            grant._value = self
+            self.sim._schedule_event(grant)
         elif self._waiters is None:
             self._waiters = deque((grant,))
         else:

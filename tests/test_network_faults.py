@@ -106,6 +106,18 @@ class TestFabricFaultPlan:
         assert plan.down_nodes_at(5.0) == frozenset({("s", 2)})
         assert plan.link_outages == 1
 
+    def test_has_outages_only_with_link_or_node_windows(self):
+        rng = RandomStreams(0).get("t")
+        assert not FabricFaultPlan().has_outages
+        oneway = FabricFaultPlan().link_down_oneway(("h", 0), ("s", 0),
+                                                    1.0, 2.0)
+        assert oneway.has_directed_faults and not oneway.has_outages
+        lossy = FabricFaultPlan(drop_probability=0.1,
+                                corrupt_probability=0.1, rng=rng)
+        assert lossy.has_random_faults and not lossy.has_outages
+        assert oneway.link_down(("h", 0), ("s", 0), 3.0, 4.0).has_outages
+        assert lossy.node_down(("s", 2), 5.0, 6.0).has_outages
+
 
 class TestTransferFaults:
     def make_fabric(self, sim, plan):
