@@ -11,10 +11,11 @@ quantitative claims into models, simulators, and regenerable experiments:
   nodes": blades, SMP/system-on-chip, processor-in-memory, on a roofline
   model;
 * :mod:`repro.network` — "Infiniband and optical switching": LogGP
-  technology catalog, topologies, a contention-aware simulated fabric;
+  technology catalog, single-switch and fat-tree topologies, a
+  contention-aware simulated fabric;
 * :mod:`repro.messaging` — an MPI-flavoured layer in virtual time;
-* :mod:`repro.apps` — stencil / CG / FFT / N-body / sweep kernels plus an
-  HPL model for Top500-style projection;
+* :mod:`repro.apps` — stencil / CG / FFT / SUMMA kernels plus an HPL
+  model for Top500-style projection;
 * :mod:`repro.cluster` — whole-machine assembly: packaging, power, cost;
 * :mod:`repro.scheduler` — "resource management": batch policies with
   EASY/conservative backfilling on synthetic workloads;
@@ -54,10 +55,8 @@ from repro.nodes import NodeSpec, RooflineModel, make_node, node_family
 from repro.network import (
     Fabric,
     FatTreeTopology,
-    HypercubeTopology,
     INTERCONNECTS,
     SingleSwitchTopology,
-    TorusTopology,
     get_interconnect,
 )
 from repro.messaging import (
@@ -97,9 +96,7 @@ from repro.apps import (
     HplModel,
     run_cg,
     run_fft2d,
-    run_nbody,
     run_stencil,
-    run_sweep,
 )
 
 __version__ = "1.0.0"
@@ -115,7 +112,6 @@ __all__ = [
     "Fabric",
     "FatTreeTopology",
     "HplModel",
-    "HypercubeTopology",
     "INTERCONNECTS",
     "MAX",
     "MIN",
@@ -128,7 +124,6 @@ __all__ = [
     "Simulator",
     "SingleSwitchTopology",
     "TechnologyRoadmap",
-    "TorusTopology",
     "WorkloadGenerator",
     "WorkloadParams",
     "__version__",
@@ -155,10 +150,8 @@ __all__ = [
     "parse_time",
     "run_cg",
     "run_fft2d",
-    "run_nbody",
     "run_spmd",
     "run_stencil",
-    "run_sweep",
     "simulate_checkpoint_run",
     "system_mtbf",
     "young_interval",

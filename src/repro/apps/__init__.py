@@ -12,14 +12,14 @@ Kernels
 -------
 :func:`repro.apps.stencil.run_stencil` — 2D Jacobi with halo exchange
     (nearest-neighbour bound).
+:func:`repro.apps.stencil2d.run_stencil2d` — the same Jacobi on a 2D
+    block decomposition (surface-to-volume).
 :func:`repro.apps.cg.run_cg` — conjugate gradient on a 1D Laplacian
     (allreduce/latency bound).
 :func:`repro.apps.fft.run_fft2d` — row-decomposed 2D FFT
     (alltoall/bisection bound).
-:func:`repro.apps.nbody.run_nbody` — all-pairs N-body via ring pipeline
-    (compute bound).
-:func:`repro.apps.sweep.run_sweep` — master/worker parameter sweep
-    (embarrassingly parallel).
+:func:`repro.apps.summa.run_summa` — SUMMA matrix multiply
+    (row/column broadcast bound).
 :mod:`repro.apps.hpl` — HPL/LINPACK analytic performance model for
     Top500-style projections.
 """
@@ -30,9 +30,6 @@ from repro.apps.stencil import StencilResult, run_stencil, serial_stencil_refere
 from repro.apps.stencil2d import Stencil2DResult, process_grid, run_stencil2d
 from repro.apps.cg import CgResult, run_cg
 from repro.apps.fft import FftResult, run_fft2d
-from repro.apps.nbody import NbodyResult, run_nbody
-from repro.apps.sweep import SweepResult, run_sweep
-from repro.apps.sort import SortResult, run_sample_sort
 from repro.apps.summa import SummaResult, run_summa
 from repro.apps.hpl import HplModel, HplEstimate
 
@@ -42,21 +39,15 @@ __all__ = [
     "FftResult",
     "HplEstimate",
     "HplModel",
-    "NbodyResult",
     "Stencil2DResult",
     "StencilResult",
-    "SortResult",
     "SummaResult",
-    "SweepResult",
     "run_cg",
     "run_fft2d",
-    "run_nbody",
-    "run_sample_sort",
     "process_grid",
     "run_stencil",
     "run_stencil2d",
     "run_summa",
-    "run_sweep",
     "serial_stencil_reference",
     "stencil2d_kernel",
     "summa_kernel",

@@ -22,7 +22,7 @@ Public surface
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.packaging import RackConfig, Packaging, pack_cluster
 from repro.cluster.power import PowerBreakdown, PowerModel
-from repro.cluster.cost import CostBreakdown, CostModel, MPP_PREMIUM_FACTOR
+from repro.cluster.cost import CostBreakdown, CostModel
 from repro.cluster.metrics import ClusterMetrics, cluster_metrics
 from repro.cluster.builder import design_cluster, design_to_budget, design_to_peak
 from repro.cluster.upgrade import Cohort, FleetYear, simulate_fleet, time_averaged_peak
@@ -34,7 +34,6 @@ __all__ = [
     "ClusterSpec",
     "CostBreakdown",
     "CostModel",
-    "MPP_PREMIUM_FACTOR",
     "Packaging",
     "PowerBreakdown",
     "PowerModel",

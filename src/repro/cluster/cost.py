@@ -1,11 +1,10 @@
-"""Cluster economics: purchase cost, TCO, and the integrated-MPP premium.
+"""Cluster economics: purchase cost and TCO.
 
 The founding premise of Beowulf-class computing — and the keynote's
 baseline assumption — is that commodity clusters win on price/performance
-against integrated (MPP/vector) systems.  :data:`MPP_PREMIUM_FACTOR`
-expresses the premium a contemporaneous integrated system carried per
-delivered FLOPS (conventional wisdom put it between 3x and 10x; we use 5x
-as the central value and benches sweep it).
+against integrated (MPP/vector) systems.  This module prices the
+commodity side: the purchase line items, the power bill, and the
+headline $/FLOPS curve.
 """
 
 from __future__ import annotations
@@ -16,10 +15,7 @@ from repro.cluster.packaging import Packaging
 from repro.cluster.power import PowerModel
 from repro.cluster.spec import ClusterSpec
 
-__all__ = ["CostModel", "CostBreakdown", "MPP_PREMIUM_FACTOR"]
-
-#: $/FLOPS multiplier of an integrated MPP over the commodity cluster.
-MPP_PREMIUM_FACTOR = 5.0
+__all__ = ["CostModel", "CostBreakdown"]
 
 
 @dataclass(frozen=True)
@@ -89,10 +85,3 @@ class CostModel:
                           packaging: Packaging) -> float:
         """Purchase price per peak FLOPS — the headline cost curve."""
         return self.purchase(spec, packaging).total_dollars / spec.peak_flops
-
-    def mpp_dollars_per_flops(self, spec: ClusterSpec, packaging: Packaging,
-                              premium: float = MPP_PREMIUM_FACTOR) -> float:
-        """What an integrated MPP of the same peak would cost per FLOPS."""
-        if premium <= 0:
-            raise ValueError("premium must be positive")
-        return self.dollars_per_flops(spec, packaging) * premium

@@ -11,8 +11,8 @@ is the keynote's canonical example.  This package quantifies the claim:
 * :mod:`~repro.fault.injection` — a failure injector for the event
   kernel, plus a Monte-Carlo checkpoint/restart simulator that validates
   the analytic model;
-* :mod:`~repro.fault.recovery` — recovery strategies (cold restart vs
-  checkpoint restart vs spare-node pools) compared on completion time;
+* :mod:`~repro.fault.availability` — per-node availability from MTBF and
+  MTTR, and the spare pool that only a declared death can drain;
 * :mod:`~repro.fault.campaign` — declarative end-to-end fault campaigns:
   a real app kernel under scheduled node/link faults with coordinated
   checkpoint/restart, verified bit-identical to the failure-free run.
@@ -49,14 +49,11 @@ from repro.fault.campaign import (
     run_campaign,
     run_workload,
 )
-from repro.fault.recovery import RecoveryOutcome, compare_strategies
 from repro.fault.availability import (
     DetectorDrivenSparePool,
     NodeAvailability,
     expected_up_nodes,
     node_availability,
-    probability_at_least,
-    spares_for_sla,
 )
 
 __all__ = [
@@ -72,25 +69,21 @@ __all__ = [
     "NodeAvailability",
     "NodeFaultSpec",
     "RankCheckpoint",
-    "RecoveryOutcome",
     "RunOutcome",
     "SwitchFaultSpec",
     "WeibullFailures",
     "available_kernels",
     "build_fault_plan",
-    "compare_strategies",
     "daly_interval",
     "efficiency",
     "expected_up_nodes",
     "node_availability",
-    "probability_at_least",
     "expected_runtime",
     "get_kernel",
     "register_kernel",
     "run_campaign",
     "run_workload",
     "simulate_checkpoint_run",
-    "spares_for_sla",
     "system_mtbf",
     "waste_fraction",
     "young_interval",

@@ -1,14 +1,13 @@
-"""Machine availability: how much of the cluster is up, and spare sizing.
+"""Machine availability: how much of the cluster is up, and its spares.
 
 Checkpointing protects *jobs*; this module quantifies the *machine*:
 with per-node failures (MTBF) and a repair pipeline (MTTR), each node is
 an independent two-state process, so
 
 * per-node availability is ``A = MTBF / (MTBF + MTTR)``;
-* the number of up nodes is Binomial(n, A) — tightly concentrated for
-  large n, which is why big clusters run degraded but predictable;
-* the probability of having at least ``k`` usable nodes, and the spare
-  pool needed to promise ``k`` with a target confidence, follow directly.
+* the number of up nodes is Binomial(n, A), with mean ``n x A`` —
+  tightly concentrated for large n, which is why big clusters run
+  degraded but predictable.
 
 These are the capacity-planning questions behind the keynote's "resource
 management and fault recovery" software: a 10k-node machine with 3-year
@@ -30,8 +29,6 @@ __all__ = [
     "NodeAvailability",
     "node_availability",
     "expected_up_nodes",
-    "probability_at_least",
-    "spares_for_sla",
 ]
 
 
@@ -67,58 +64,18 @@ def node_availability(mtbf_seconds: float,
 
 def expected_up_nodes(node_count: int, availability: float) -> float:
     """Mean number of simultaneously-up nodes (``n x A``)."""
-    _check(node_count, availability)
+    if node_count < 1:
+        raise ValueError("node_count must be >= 1")
+    if not 0.0 < availability <= 1.0:
+        raise ValueError("availability must be in (0, 1]")
     return node_count * availability
-
-
-def probability_at_least(usable: int, node_count: int,
-                         availability: float) -> float:
-    """P(at least ``usable`` of ``node_count`` nodes are up) under
-    independent Binomial(n, A) node states."""
-    _check(node_count, availability)
-    if usable < 0:
-        raise ValueError("usable must be non-negative")
-    if usable > node_count:
-        return 0.0
-    # Imported here: scipy costs more to import than the rest of repro.
-    from scipy import stats
-
-    # P(X >= usable) = survival function at usable - 1.
-    return float(stats.binom.sf(usable - 1, node_count, availability))
-
-
-def spares_for_sla(required_nodes: int, availability: float,
-                   confidence: float = 0.999) -> int:
-    """Smallest spare count s such that ``required + s`` nodes give at
-    least ``required`` up nodes with probability ``confidence``.
-
-    The capacity-planning question a hosting contract turns into: how
-    many extra nodes to buy so the promised partition is (almost) always
-    deliverable.
-    """
-    _check(required_nodes, availability)
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must be in (0, 1)")
-    if availability >= 1.0:
-        return 0
-    spares = 0
-    while probability_at_least(required_nodes, required_nodes + spares,
-                               availability) < confidence:
-        spares += 1
-        if spares > 10 * required_nodes:  # pathological availability
-            raise ValueError(
-                f"availability {availability:.3f} cannot reach "
-                f"{confidence:.4f} confidence with a sane spare pool"
-            )
-    return spares
 
 
 class DetectorDrivenSparePool:
     """A :class:`~repro.health.spares.SparePool` that only the detection
     layer can drain.
 
-    The analytic functions above size the pool; this class *operates*
-    it, with one rule enforced by the API: an activation requires a
+    One rule is enforced by the API: an activation requires a
     :class:`~repro.health.monitor.DeathRecord` — the health layer's
     *declaration* of death — so ground truth (a crash nobody has
     detected yet) cannot activate a spare, and a partition's lie (a
@@ -188,10 +145,3 @@ class DetectorDrivenSparePool:
         return (f"<DetectorDrivenSparePool depth={self.depth} "
                 f"activations={self.activations} "
                 f"false={self.false_activations}>")
-
-
-def _check(node_count: int, availability: float) -> None:
-    if node_count < 1:
-        raise ValueError("node_count must be >= 1")
-    if not 0.0 < availability <= 1.0:
-        raise ValueError("availability must be in (0, 1]")

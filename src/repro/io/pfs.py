@@ -15,7 +15,7 @@ scaling*, which lives entirely in striping + contention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.io.disk import DiskModel
 from repro.network.fabric import Fabric
@@ -155,20 +155,20 @@ class ParallelFileSystem:
         server = self.servers[chunk.server_index]
         if is_write:
             # Data travels client -> server, then hits the disk.
-            yield from self.fabric.transfer(client_host, server.host,
-                                            chunk.nbytes)
+            yield from self.fabric.transfer_ex(client_host, server.host,
+                                               chunk.nbytes)
             yield server.queue.request()
             yield self.sim.timeout(server.service_time(chunk.nbytes))
             server.queue.release()
             server.bytes_written += chunk.nbytes
         else:
             # Request reaches the server (tiny), disk reads, data returns.
-            yield from self.fabric.transfer(client_host, server.host, 64)
+            yield from self.fabric.transfer_ex(client_host, server.host, 64)
             yield server.queue.request()
             yield self.sim.timeout(server.service_time(chunk.nbytes))
             server.queue.release()
-            yield from self.fabric.transfer(server.host, client_host,
-                                            chunk.nbytes)
+            yield from self.fabric.transfer_ex(server.host, client_host,
+                                               chunk.nbytes)
             server.bytes_read += chunk.nbytes
         server.requests += 1
 
@@ -249,19 +249,20 @@ class ParallelFileSystem:
         disk_time = server.disk.access_time(total, sequential=False) \
             + (len(chunks) - 1) * 0.0  # one seek only: sorted pass
         if is_write:
-            yield from self.fabric.transfer(client_host, server.host,
-                                            total + descriptors)
+            yield from self.fabric.transfer_ex(client_host, server.host,
+                                               total + descriptors)
             yield server.queue.request()
             yield self.sim.timeout(disk_time)
             server.queue.release()
             server.bytes_written += total
         else:
-            yield from self.fabric.transfer(client_host, server.host,
-                                            64 + descriptors)
+            yield from self.fabric.transfer_ex(client_host, server.host,
+                                               64 + descriptors)
             yield server.queue.request()
             yield self.sim.timeout(disk_time)
             server.queue.release()
-            yield from self.fabric.transfer(server.host, client_host, total)
+            yield from self.fabric.transfer_ex(server.host, client_host,
+                                               total)
             server.bytes_read += total
         server.requests += 1
 

@@ -4,7 +4,7 @@ Topology: the **supervisor** (plus the durable :class:`~repro.jobs.log.
 JobLog`) lives on fabric host 0; **workers** occupy hosts ``1..W`` and
 **spares** the hosts after them.  Every message — grant, start report,
 lease renewal, effect write, write ack — is a real
-:meth:`~repro.network.fabric.Fabric.transfer` into the destination
+:meth:`~repro.network.fabric.Fabric.transfer_ex` into the destination
 host's mailbox, so partitions, drops, and congestion delay or lose
 control traffic exactly as they would in production.  A
 :class:`~repro.health.monitor.HeartbeatMonitor` (host 0 is the monitor
@@ -40,7 +40,7 @@ it only sees declarations.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,

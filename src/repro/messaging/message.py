@@ -34,11 +34,9 @@ ENVELOPE_BYTES = 64
 class Envelope:
     """A message in flight: routing metadata plus the payload object.
 
-    ``ack`` (when present) is succeeded by the receiver at match time —
-    the rendezvous signal behind synchronous sends.  ``context``
-    identifies the communicator the message belongs to (0 is the world);
-    receives only ever match within their own context, which is how
-    split sub-communicators are isolated without tag arithmetic.
+    ``context`` identifies the communicator the message belongs to (0 is
+    the world); receives only ever match within their own context, which
+    is how split sub-communicators are isolated without tag arithmetic.
     """
 
     source: int
@@ -46,7 +44,6 @@ class Envelope:
     tag: int
     payload: Any
     nbytes: int
-    ack: Any = None
     context: Any = 0
     #: True when the message travelled under the reliable-delivery
     #: protocol (retransmit-until-acknowledged); ``seq`` is then its

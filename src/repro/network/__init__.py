@@ -7,8 +7,8 @@ and optical switching" as a defining force.  This package provides:
   captures what applications see of a network;
 * a catalog of :class:`InterconnectTechnology` entries spanning the era,
   Fast Ethernet through InfiniBand 12X and optical circuit switching;
-* topologies (single switch, two-level fat tree, torus, hypercube) built on
-  a plain adjacency map, with deterministic routing;
+* topologies (single switch, two- and three-level fat trees) built on a
+  plain adjacency map, with deterministic routing;
 * :class:`Fabric` — a contention-aware transport running inside the
   discrete-event simulator, used by the messaging layer.
 """
@@ -22,10 +22,8 @@ from repro.network.technologies import (
 )
 from repro.network.topology import (
     FatTreeTopology,
-    HypercubeTopology,
     SingleSwitchTopology,
     Topology,
-    TorusTopology,
     canonical_link,
 )
 from repro.network.fabric import (
@@ -39,7 +37,6 @@ from repro.network.fabric import (
 )
 from repro.network.fattree3 import ThreeLevelFatTreeTopology
 from repro.network.design import FabricBill, compare_fabrics, price_fabric
-from repro.network.loggp_fit import LogGPFit, fit_loggp
 
 __all__ = [
     "DownWindow",
@@ -47,16 +44,13 @@ __all__ = [
     "FabricBill",
     "FabricFaultPlan",
     "FatTreeTopology",
-    "HypercubeTopology",
     "INTERCONNECTS",
     "InterconnectTechnology",
-    "LogGPFit",
     "LogGPParams",
     "NetworkUnreachable",
     "SingleSwitchTopology",
     "ThreeLevelFatTreeTopology",
     "Topology",
-    "TorusTopology",
     "TransferDropped",
     "TransferOutcome",
     "TransferRecord",
@@ -64,6 +58,5 @@ __all__ = [
     "canonical_link",
     "compare_fabrics",
     "price_fabric",
-    "fit_loggp",
     "get_interconnect",
 ]

@@ -1,10 +1,10 @@
 """The simulated transport: moves bytes between hosts in virtual time.
 
 A :class:`Fabric` binds a topology to an interconnect technology inside a
-simulator.  :meth:`Fabric.transfer_ex` is a *process body* (generator)
-that returns a :class:`TransferOutcome`: the messaging layer, the failure
-detectors and the jobs service delegate to it with ``yield from``.
-:meth:`Fabric.transfer` is the same body returning the completion time.
+simulator.  :meth:`Fabric.transfer_ex` is its one transfer entry point: a
+*process body* (generator) that returns a :class:`TransferOutcome`.  The
+messaging layer, the failure detectors, the jobs service and the
+parallel file system delegate to it with ``yield from``.
 
 Cost model for one ``n``-byte transfer along a ``h``-hop route::
 
@@ -308,21 +308,13 @@ class Fabric:
 
     # -- the transfer process ---------------------------------------------
 
-    def transfer(self, src: int, dst: int,
-                 nbytes: int) -> Generator[Any, Any, float]:
-        """Process body: completes when the last byte reaches ``dst``.
-
-        Use as ``yield from fabric.transfer(...)`` inside a process, or
-        wrap with ``sim.process`` for a standalone transfer.  Returns the
-        completion time; cost model and fault handling are
-        :meth:`transfer_ex`'s.
-        """
-        return (yield from self.transfer_ex(src, dst, nbytes)).end
-
     def transfer_ex(self, src: int, dst: int,
                     nbytes: int) -> Generator[Any, Any, "TransferOutcome"]:
         """Fault-aware transfer process body.
 
+        Use as ``yield from fabric.transfer_ex(...)`` inside a process,
+        or wrap with ``sim.process`` for a standalone transfer; the
+        outcome's ``end`` is the time the last byte reached ``dst``.
         Runs the cost model in the module docstring and, with a fault
         plan, consults it: re-routes around down elements (paying the
         degraded route's hop cost), raises :class:`NetworkUnreachable`

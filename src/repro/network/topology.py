@@ -1,15 +1,14 @@
 """Network topologies on a plain undirected adjacency map.
 
-Four families cover the era's design space:
+Two families live here:
 
 * :class:`SingleSwitchTopology` — one non-blocking crossbar (small systems);
 * :class:`FatTreeTopology` — two-level leaf/spine with configurable
   oversubscription (the commodity scale-out answer, and how InfiniBand
-  fabrics were actually deployed);
-* :class:`TorusTopology` — k-ary n-dimensional direct network with
-  dimension-ordered routing (the BlueGene direction for SoC nodes);
-* :class:`HypercubeTopology` — binary hypercube with e-cube routing
-  (included as the classic baseline).
+  fabrics were actually deployed).
+
+The three-level fat tree for tens of thousands of hosts is
+:class:`~repro.network.fattree3.ThreeLevelFatTreeTopology`.
 
 Hosts are graph nodes ``("h", i)``; switches are ``("s", j)``.  A *route*
 is the ordered list of **directed** ``(from, to)`` node pairs between two
@@ -32,8 +31,6 @@ __all__ = [
     "Topology",
     "SingleSwitchTopology",
     "FatTreeTopology",
-    "TorusTopology",
-    "HypercubeTopology",
     "canonical_link",
 ]
 
@@ -54,8 +51,7 @@ class _Graph:
     """Undirected simple graph as an insertion-ordered adjacency map.
 
     Only what the topologies and their callers use.  Adding a link that
-    already exists is a no-op, so a k=2 torus ring, which adds each of
-    its links twice, stores each once.
+    already exists is a no-op.
     """
 
     def __init__(self) -> None:
@@ -333,118 +329,3 @@ class FatTreeTopology(Topology):
         if self.num_leaves == 1:
             return self.hosts // 2
         return (self.num_leaves // 2) * self.num_spines
-
-
-class TorusTopology(Topology):
-    """k-ary n-dimensional torus; hosts double as routers.
-
-    ``shape`` like ``(8, 8)`` or ``(4, 4, 4)``.  Dimension-ordered routing
-    with shortest wraparound direction; ties (exactly half way around an
-    even ring) break toward increasing coordinates, deterministically.
-    """
-
-    def __init__(self, shape: Tuple[int, ...]) -> None:
-        if not shape or any(k < 2 for k in shape):
-            raise ValueError(f"every torus dimension must be >= 2, got {shape}")
-        hosts = 1
-        for k in shape:
-            hosts *= k
-        super().__init__(hosts)
-        self.shape = tuple(shape)
-        self._strides = []
-        stride = 1
-        for k in reversed(self.shape):
-            self._strides.append(stride)
-            stride *= k
-        self._strides.reverse()
-        for rank in range(hosts):
-            coords = self.coords_of(rank)
-            for dim, k in enumerate(self.shape):
-                neighbour = list(coords)
-                neighbour[dim] = (coords[dim] + 1) % k
-                self.graph.add_edge(self.host_node(rank),
-                                    self.host_node(self.rank_of(tuple(neighbour))))
-
-    def coords_of(self, rank: int) -> Tuple[int, ...]:
-        """Grid coordinates of a host rank."""
-        coords = []
-        for stride, k in zip(self._strides, self.shape):
-            coords.append((rank // stride) % k)
-        return tuple(coords)
-
-    def rank_of(self, coords: Tuple[int, ...]) -> int:
-        """Host rank at grid coordinates."""
-        if len(coords) != len(self.shape):
-            raise ValueError("coordinate arity mismatch")
-        rank = 0
-        for c, stride, k in zip(coords, self._strides, self.shape):
-            if not 0 <= c < k:
-                raise ValueError(f"coordinate {c} out of ring size {k}")
-            rank += c * stride
-        return rank
-
-    def route(self, src: int, dst: int) -> List[Edge]:
-        """Dimension-ordered route with shortest wraparound direction."""
-        if src == dst:
-            return []
-        edges: List[Edge] = []
-        position = list(self.coords_of(src))
-        target = self.coords_of(dst)
-        for dim, k in enumerate(self.shape):
-            while position[dim] != target[dim]:
-                forward = (target[dim] - position[dim]) % k
-                backward = (position[dim] - target[dim]) % k
-                step = 1 if forward <= backward else -1
-                here = self.rank_of(tuple(position))
-                position[dim] = (position[dim] + step) % k
-                there = self.rank_of(tuple(position))
-                edges.append((self.host_node(here), self.host_node(there)))
-        return edges
-
-    def diameter_hops(self) -> int:
-        """Sum of half-ring distances over the dimensions."""
-        return sum(k // 2 for k in self.shape)
-
-    def bisection_links(self) -> int:
-        """Cut the largest ring in half: 2 links per ring instance."""
-        k = max(self.shape)
-        return 2 * (self.hosts // k)
-
-
-class HypercubeTopology(Topology):
-    """Binary d-cube with e-cube (ascending-dimension) routing."""
-
-    def __init__(self, dimension: int) -> None:
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        super().__init__(2 ** dimension)
-        self.dimension = dimension
-        for rank in range(self.hosts):
-            for bit in range(dimension):
-                neighbour = rank ^ (1 << bit)
-                if neighbour > rank:
-                    self.graph.add_edge(self.host_node(rank),
-                                        self.host_node(neighbour))
-
-    def route(self, src: int, dst: int) -> List[Edge]:
-        """E-cube route: correct differing bits in ascending order."""
-        if src == dst:
-            return []
-        edges: List[Edge] = []
-        position = src
-        difference = src ^ dst
-        for bit in range(self.dimension):
-            if difference & (1 << bit):
-                nxt = position ^ (1 << bit)
-                edges.append((self.host_node(position),
-                              self.host_node(nxt)))
-                position = nxt
-        return edges
-
-    def diameter_hops(self) -> int:
-        """The cube dimension (maximum Hamming distance)."""
-        return self.dimension
-
-    def bisection_links(self) -> int:
-        """Half the hosts: one dimension's worth of links crosses."""
-        return self.hosts // 2

@@ -9,13 +9,9 @@ from repro.apps import (
     ComputeCharge,
     run_cg,
     run_fft2d,
-    run_nbody,
     run_stencil,
-    run_sweep,
     serial_stencil_reference,
 )
-from repro.apps.nbody import direct_forces_reference
-from repro.apps.sweep import sweep_task_value
 from repro.nodes import make_node
 
 
@@ -131,58 +127,3 @@ class TestFft:
         slow = run_fft2d(8, n=512, charge=charge,
                          technology="gigabit_ethernet")
         assert slow.elapsed > 3 * fast.elapsed
-
-
-class TestNbody:
-    @pytest.mark.parametrize("ranks", [1, 2, 3, 4])
-    def test_matches_direct_forces(self, ranks):
-        result = run_nbody(ranks, n=48, seed=3)
-        assert np.allclose(result.forces, direct_forces_reference(48, 3),
-                           rtol=1e-10)
-
-    def test_momentum_conservation(self):
-        """Newton's third law: forces are per unit target mass, so the
-        *mass-weighted* total must vanish."""
-        from repro.apps.nbody import make_particles
-
-        result = run_nbody(4, n=64)
-        _positions, masses = make_particles(64, seed=0)
-        momentum_rate = (masses[:, None] * result.forces).sum(axis=0)
-        assert np.allclose(momentum_rate, 0.0, atol=1e-8)
-
-    def test_network_insensitive(self):
-        """Compute-bound: at a size where compute dominates, interconnect
-        choice moves the needle by far less than for FFT."""
-        fast = run_nbody(4, n=512, technology="infiniband_4x")
-        slow = run_nbody(4, n=512, technology="gigabit_ethernet")
-        assert slow.elapsed < 1.3 * fast.elapsed
-
-
-class TestSweep:
-    def test_all_tasks_correct(self):
-        result = run_sweep(4, tasks=30)
-        assert len(result.values) == 30
-        for task, value in enumerate(result.values):
-            assert value == pytest.approx(sweep_task_value(task))
-
-    def test_every_task_assigned_once(self):
-        result = run_sweep(5, tasks=23)
-        assert sum(result.tasks_per_worker.values()) == 23
-
-    def test_more_workers_than_tasks(self):
-        result = run_sweep(8, tasks=3)
-        assert sum(result.tasks_per_worker.values()) == 3
-
-    def test_dynamic_beats_static_imbalance(self):
-        """Self-scheduling keeps *work* imbalance small despite the 7x
-        task-cost spread (task counts diverge by design)."""
-        result = run_sweep(5, tasks=200)
-        assert result.load_imbalance < 1.1
-        counts = result.tasks_per_worker.values()
-        assert max(counts) > min(counts)  # counts DO diverge
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            run_sweep(1, tasks=5)
-        with pytest.raises(ValueError):
-            run_sweep(3, tasks=0)

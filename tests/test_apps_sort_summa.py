@@ -1,66 +1,10 @@
-"""Sample sort and SUMMA: correctness against numpy, balance, shapes."""
+"""SUMMA: correctness against numpy, and its scaling shapes."""
 
 import numpy as np
 import pytest
 
 from repro import RandomStreams
-from repro.apps import ComputeCharge, run_sample_sort, run_summa
-from repro.apps.sort import rank_stream_name
-
-
-def reference_keys(n, ranks, seed, skew=0.0):
-    """Rebuild the exact global key set the ranks generate."""
-    streams = RandomStreams(seed)
-    parts = []
-    for rank in range(ranks):
-        rng = streams.fresh(rank_stream_name(rank))
-        local = n // ranks + (1 if rank < n % ranks else 0)
-        parts.append(rng.random(local) ** (1.0 + skew))
-    return np.sort(np.concatenate(parts))
-
-
-class TestSampleSort:
-    @pytest.mark.parametrize("ranks", [1, 2, 3, 4, 8])
-    def test_sorts_correctly(self, ranks):
-        result = run_sample_sort(ranks, 4000, seed=7)
-        assert np.allclose(result.keys, reference_keys(4000, ranks, 7))
-        assert len(result.keys) == 4000
-
-    def test_output_is_monotone(self):
-        result = run_sample_sort(5, 3000, seed=1)
-        assert np.all(np.diff(result.keys) >= 0)
-
-    def test_skewed_keys_still_sorted_and_balanced(self):
-        """The splitter sampling must absorb a skewed distribution."""
-        result = run_sample_sort(8, 20_000, seed=3, skew=3.0)
-        assert np.allclose(result.keys,
-                           reference_keys(20_000, 8, 3, skew=3.0))
-        assert result.balance < 1.5
-
-    def test_oversampling_improves_balance(self):
-        coarse = run_sample_sort(8, 20_000, oversample=4, seed=5, skew=2.0)
-        fine = run_sample_sort(8, 20_000, oversample=128, seed=5, skew=2.0)
-        assert fine.balance <= coarse.balance * 1.05
-
-    def test_uneven_division(self):
-        result = run_sample_sort(3, 1000, seed=9)  # 1000 % 3 != 0
-        assert len(result.keys) == 1000
-
-    def test_faster_network_helps(self):
-        charge = ComputeCharge(effective_flops=3e9)
-        slow = run_sample_sort(8, 200_000, charge=charge, seed=2,
-                               technology="fast_ethernet")
-        fast = run_sample_sort(8, 200_000, charge=charge, seed=2,
-                               technology="infiniband_4x")
-        assert fast.elapsed < slow.elapsed
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            run_sample_sort(8, 4)
-        with pytest.raises(ValueError):
-            run_sample_sort(2, 100, oversample=0)
-        with pytest.raises(ValueError):
-            run_sample_sort(2, 100, skew=-1.0)
+from repro.apps import ComputeCharge, run_summa
 
 
 class TestSumma:

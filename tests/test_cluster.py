@@ -5,7 +5,6 @@ import pytest
 from repro.cluster import (
     ClusterSpec,
     CostModel,
-    MPP_PREMIUM_FACTOR,
     PowerModel,
     RackConfig,
     cluster_metrics,
@@ -124,14 +123,6 @@ class TestCostModel:
         assert (model.tco(small_cluster, packaging, 3.0)
                 > model.tco(small_cluster, packaging, 1.0)
                 > model.tco(small_cluster, packaging, 0.0))
-
-    def test_mpp_premium(self, small_cluster):
-        packaging = pack_cluster(small_cluster)
-        model = CostModel()
-        assert model.mpp_dollars_per_flops(
-            small_cluster, packaging) == pytest.approx(
-            MPP_PREMIUM_FACTOR * model.dollars_per_flops(small_cluster,
-                                                         packaging))
 
     def test_validation(self, small_cluster):
         with pytest.raises(ValueError):

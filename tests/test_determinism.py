@@ -16,14 +16,7 @@ from repro import (
     get_policy,
     run_spmd,
 )
-from repro.apps import (
-    run_cg,
-    run_fft2d,
-    run_nbody,
-    run_sample_sort,
-    run_stencil2d,
-    run_summa,
-)
+from repro.apps import run_cg, run_fft2d, run_stencil2d, run_summa
 from repro.fault import CheckpointParams, simulate_checkpoint_run
 from repro.scheduler import BatchSimulator, FaultyBatchSimulator, evaluate_schedule
 
@@ -58,11 +51,6 @@ class TestVirtualTimeDeterminism:
         assert fft_a.elapsed == fft_b.elapsed
         assert np.array_equal(fft_a.spectrum, fft_b.spectrum)
 
-        sort_a = run_sample_sort(4, 2000, seed=9)
-        sort_b = run_sample_sort(4, 2000, seed=9)
-        assert sort_a.elapsed == sort_b.elapsed
-        assert np.array_equal(sort_a.keys, sort_b.keys)
-
 
 class TestNamedStreamDerivation:
     """All app-kernel randomness routes through RandomStreams: the
@@ -81,7 +69,7 @@ class TestNamedStreamDerivation:
     def test_fresh_streams_are_independent(self):
         streams = RandomStreams(21)
         a = streams.fresh("apps.summa.input").standard_normal(16)
-        b = streams.fresh("apps.nbody.particles").standard_normal(16)
+        b = streams.fresh("apps.fft.input").standard_normal(16)
         assert not np.array_equal(a, b)
 
     def test_seed_and_streams_arguments_equivalent(self):
@@ -89,42 +77,31 @@ class TestNamedStreamDerivation:
         via_streams = run_fft2d(4, n=32, streams=RandomStreams(17))
         assert np.array_equal(via_seed.spectrum, via_streams.spectrum)
 
-        sort_seed = run_sample_sort(4, 2000, seed=17)
-        sort_streams = run_sample_sort(4, 2000, streams=RandomStreams(17))
-        assert np.array_equal(sort_seed.keys, sort_streams.keys)
-
         summa_seed = run_summa(4, 24, seed=17)
         summa_streams = run_summa(4, 24, streams=RandomStreams(17))
         assert np.array_equal(summa_seed.product, summa_streams.product)
 
-        nbody_seed = run_nbody(4, n=32, seed=17)
-        nbody_streams = run_nbody(4, n=32, streams=RandomStreams(17))
-        assert np.array_equal(nbody_seed.forces, nbody_streams.forces)
-
-    def test_summa_and_nbody_repeatable(self):
+    def test_summa_repeatable(self):
         summa_a = run_summa(4, 24, seed=5)
         summa_b = run_summa(4, 24, seed=5)
         assert summa_a.elapsed == summa_b.elapsed
         assert np.array_equal(summa_a.product, summa_b.product)
 
-        nbody_a = run_nbody(3, n=30, seed=5)
-        nbody_b = run_nbody(3, n=30, seed=5)
-        assert nbody_a.elapsed == nbody_b.elapsed
-        assert np.array_equal(nbody_a.forces, nbody_b.forces)
-
     def test_app_seeds_matter(self):
         assert not np.array_equal(run_fft2d(2, n=32, seed=1).spectrum,
                                   run_fft2d(2, n=32, seed=2).spectrum)
-        assert not np.array_equal(run_sample_sort(2, 500, seed=1).keys,
-                                  run_sample_sort(2, 500, seed=2).keys)
+        assert not np.array_equal(run_summa(4, 24, seed=1).product,
+                                  run_summa(4, 24, seed=2).product)
 
     def test_input_independent_of_rank_count(self):
-        """The sorted key set depends only on (n, seed, per-rank split),
-        never on interleaving — ranks draw from disjoint named streams."""
-        four = run_sample_sort(4, 2000, seed=3)
-        again = run_sample_sort(4, 2000, seed=3,
-                                technology="fast_ethernet")
-        assert np.array_equal(four.keys, again.keys)
+        """SUMMA's matrices depend only on (n, seed), never on the rank
+        count or the interleaving: every rank draws them from the same
+        named stream."""
+        four = run_summa(4, 24, seed=3)
+        again = run_summa(4, 24, seed=3, technology="fast_ethernet")
+        assert np.array_equal(four.product, again.product)
+        nine = run_summa(9, 24, seed=3)
+        assert np.allclose(four.product, nine.product)
 
 
 class TestStochasticDeterminism:

@@ -142,7 +142,7 @@ class TestFabricEdges:
                         record_transfers=True)
 
         def body():
-            yield from fabric.transfer(0, 1, 1000)
+            yield from fabric.transfer_ex(0, 1, 1000)
             return None
 
         sim.run_process(body())

@@ -1,4 +1,4 @@
-"""Failure models, checkpoint economics, injection, recovery."""
+"""Failure models, checkpoint economics, injection."""
 
 import math
 
@@ -11,7 +11,6 @@ from repro.fault import (
     ExponentialFailures,
     FaultInjector,
     WeibullFailures,
-    compare_strategies,
     daly_interval,
     efficiency,
     expected_runtime,
@@ -322,34 +321,3 @@ class TestInjection:
         with pytest.raises(ValueError):
             simulate_checkpoint_run(10.0, params, 0.0,
                                     ExponentialFailures(100.0))
-
-
-class TestRecovery:
-    def test_ordering_of_strategies(self):
-        outcomes = compare_strategies(
-            work_seconds=7 * 86400.0,
-            node_mtbf_seconds=3 * YEAR,
-            node_count=10_000,
-            checkpoint_seconds=300.0,
-            restart_seconds=600.0,
-        )
-        assert (outcomes["none"].efficiency
-                < outcomes["checkpoint"].efficiency
-                < outcomes["checkpoint+spares"].efficiency)
-        # At 10k nodes a week-long job without checkpointing is hopeless.
-        assert outcomes["none"].efficiency < 1e-6
-        assert outcomes["checkpoint"].efficiency > 0.5
-
-    def test_small_systems_barely_care(self):
-        outcomes = compare_strategies(
-            work_seconds=86400.0,
-            node_mtbf_seconds=3 * YEAR,
-            node_count=16,
-            checkpoint_seconds=300.0,
-            restart_seconds=600.0,
-        )
-        assert outcomes["checkpoint"].efficiency > 0.97
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            compare_strategies(0.0, YEAR, 10, 1.0, 1.0)

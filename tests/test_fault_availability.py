@@ -1,18 +1,8 @@
-"""Availability arithmetic and spare-pool sizing."""
+"""Availability arithmetic: per node and across the fleet."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.fault import (
-    NodeAvailability,
-    expected_up_nodes,
-    node_availability,
-    probability_at_least,
-    spares_for_sla,
-)
-from repro.fault.models import ExponentialFailures
-from repro.sim import RandomStreams
+from repro.fault import NodeAvailability, expected_up_nodes, node_availability
 
 YEAR = 365.25 * 86400.0
 
@@ -44,67 +34,8 @@ class TestFleetDistribution:
     def test_expected_up(self):
         assert expected_up_nodes(10_000, 0.999) == pytest.approx(9_990.0)
 
-    def test_probability_bounds(self):
-        assert probability_at_least(0, 100, 0.9) == pytest.approx(1.0)
-        assert probability_at_least(101, 100, 0.9) == 0.0
-        assert 0 < probability_at_least(95, 100, 0.95) < 1
-
-    def test_probability_monotone_in_threshold(self):
-        values = [probability_at_least(k, 100, 0.98)
-                  for k in (90, 95, 99, 100)]
-        assert values == sorted(values, reverse=True)
-
-    def test_matches_monte_carlo(self, streams):
-        rng = streams.get("avail")
-        n, availability = 200, 0.97
-        samples = rng.binomial(n, availability, size=200_000)
-        for threshold in (190, 194, 196):
-            empirical = float(np.mean(samples >= threshold))
-            analytic = probability_at_least(threshold, n, availability)
-            assert analytic == pytest.approx(empirical, abs=0.01)
-
     def test_validation(self):
         with pytest.raises(ValueError):
-            probability_at_least(1, 0, 0.9)
+            expected_up_nodes(0, 0.9)
         with pytest.raises(ValueError):
-            probability_at_least(1, 10, 1.5)
-        with pytest.raises(ValueError):
-            probability_at_least(-1, 10, 0.9)
-
-
-class TestSparePool:
-    def test_perfect_nodes_need_no_spares(self):
-        assert spares_for_sla(1000, 1.0) == 0
-
-    def test_sla_satisfied_and_minimal(self):
-        required, availability, confidence = 512, 0.995, 0.999
-        spares = spares_for_sla(required, availability, confidence)
-        assert probability_at_least(required, required + spares,
-                                    availability) >= confidence
-        if spares > 0:
-            assert probability_at_least(required, required + spares - 1,
-                                        availability) < confidence
-
-    def test_worse_nodes_need_more_spares(self):
-        good = spares_for_sla(1024, 0.9999)
-        bad = spares_for_sla(1024, 0.99)
-        assert bad > good
-
-    def test_big_machine_always_degraded(self):
-        """At 10k nodes even 4-nines nodes mean spares are mandatory for
-        a full-machine SLA — the keynote's operations reality."""
-        availability = node_availability(3 * YEAR, 1800.0)
-        assert spares_for_sla(10_000, availability) >= 1
-
-    def test_pathological_availability_rejected(self):
-        with pytest.raises(ValueError, match="sane spare pool"):
-            spares_for_sla(100, 0.05, confidence=0.999)
-
-    @given(st.integers(min_value=1, max_value=2_000),
-           st.floats(min_value=0.90, max_value=0.9999),
-           st.sampled_from([0.9, 0.99, 0.999]))
-    @settings(max_examples=40, deadline=None)
-    def test_sla_always_met(self, required, availability, confidence):
-        spares = spares_for_sla(required, availability, confidence)
-        assert probability_at_least(required, required + spares,
-                                    availability) >= confidence
+            expected_up_nodes(10, 1.5)

@@ -1,7 +1,8 @@
 """Import boundary: loading repro pulls in neither scipy nor networkx.
 
-scipy takes longer to import than all of repro, and only two functions
-call it, so they import it when called.  networkx is not a dependency
+scipy takes longer to import than all of repro, and only one function,
+``repro.analysis.stats.summarize``, calls it, so it imports scipy when
+called.  networkx is not a dependency
 at all: topologies keep their own adjacency map.  The probe runs in a
 fresh interpreter, because this test session may already hold scipy.
 """
@@ -35,11 +36,9 @@ report = {{"modules": modules,
               name for name in ("scipy", "networkx") if name in sys.modules)}}
 
 from repro.analysis.stats import summarize
-from repro.fault.availability import probability_at_least
 
-report["probability"] = probability_at_least(95, 100, 0.95)
-report["scipy_after_probability"] = "scipy.stats" in sys.modules
 summary = summarize({SAMPLES!r})
+report["scipy_after_summarize"] = "scipy.stats" in sys.modules
 report["ci"] = [summary.ci_low, summary.ci_high]
 report["networkx_at_exit"] = "networkx" in sys.modules
 print(json.dumps(report))
@@ -62,10 +61,9 @@ def test_importing_every_module_loads_neither_scipy_nor_networkx():
             "repro.network.topology"} <= set(report["modules"])
     assert report["loaded_after_import"] == []
     # The first call that needs scipy loads it; nothing loads networkx.
-    assert report["scipy_after_probability"] is True
+    assert report["scipy_after_summarize"] is True
     assert report["networkx_at_exit"] is False
 
-    assert report["probability"] == float(stats.binom.sf(94, 100, 0.95))
     values = np.asarray(SAMPLES)
     mean = float(values.mean())
     halfwidth = float(float(values.std(ddof=1)) / np.sqrt(values.size)

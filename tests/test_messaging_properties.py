@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.messaging import MAX, SUM, run_spmd
-from repro.network import FatTreeTopology, SingleSwitchTopology, TorusTopology
+from repro.messaging import SUM, run_spmd
+from repro.network import (
+    FatTreeTopology,
+    SingleSwitchTopology,
+    ThreeLevelFatTreeTopology,
+)
 
 
 class TestCollectiveProperties:
@@ -122,20 +126,20 @@ class TestTimingShapes:
         t16 = run_spmd(16, body, technology="infiniband_4x").elapsed
         assert t16 < 3 * t4  # log: 4 rounds vs 2 rounds => ~2x
 
-    def test_torus_neighbour_cheaper_than_far(self):
-        topology = TorusTopology((4, 4))
+    def test_near_neighbour_cheaper_than_far(self):
+        topology = ThreeLevelFatTreeTopology(4)
 
         def body(comm):
             if comm.rank == 0:
-                yield from comm.send(b"x", 1, tag=1)       # 1 hop
-                yield from comm.send(b"x", 10, tag=1)      # several hops
-            elif comm.rank in (1, 10):
+                yield from comm.send(b"x", 1, tag=1)       # 2 hops
+                yield from comm.send(b"x", 15, tag=1)      # 6 hops
+            elif comm.rank in (1, 15):
                 yield from comm.recv(0, tag=1)
             return comm.sim.now
 
         result = run_spmd(16, body, technology="infiniband_4x",
                           topology=topology)
-        assert result.finish_times[1] < result.finish_times[10]
+        assert result.finish_times[1] < result.finish_times[15]
 
     def test_oversubscription_slows_alltoall(self):
         def body(comm):

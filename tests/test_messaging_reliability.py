@@ -120,21 +120,6 @@ class TestTimeouts:
         assert outcome["raised_at"] == pytest.approx(1e-3)
         assert world.stats.op_timeouts == 1
 
-    def test_ssend_timeout_without_matching_recv(self):
-        world = make_world(2)
-        comm = world.communicator(0)
-        outcome = {}
-
-        def body():
-            try:
-                yield from comm.ssend("unmatched", 1, timeout=1e-3)
-            except CommTimeout:
-                outcome["raised"] = True
-
-        world.sim.process(body())
-        world.sim.run()
-        assert outcome.get("raised")
-
 
 class TestRankFailures:
     def fault_aware_world(self):

@@ -1,16 +1,15 @@
-"""Request helpers: waitall / waitany, and fabric timing properties."""
+"""Request helpers: waitall, and fabric timing properties."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.messaging import run_spmd
-from repro.messaging.comm import waitall, waitany
+from repro.messaging.comm import waitall
 from repro.network import (
     Fabric,
     FatTreeTopology,
     SingleSwitchTopology,
-    TorusTopology,
+    ThreeLevelFatTreeTopology,
     get_interconnect,
 )
 from repro.sim import Simulator
@@ -31,24 +30,6 @@ class TestWaitHelpers:
         result = run_spmd(4, body)
         assert result.results[0] == [3, 1, 2]  # request order, not arrival
 
-    def test_waitany_returns_first_completion(self):
-        def body(comm):
-            if comm.rank == 0:
-                requests = [comm.irecv(1, tag=1), comm.irecv(2, tag=1)]
-                index, value = yield from waitany(requests)
-                return index, value
-            yield comm.sim.timeout(0.0 if comm.rank == 2 else 1.0)
-            yield from comm.send(f"r{comm.rank}", 0, tag=1)
-            return None
-
-        result = run_spmd(3, body)
-        assert result.results[0] == (1, "r2")  # rank 2 sent first
-
-    def test_waitany_validates(self):
-        with pytest.raises(ValueError):
-            # Driving the generator triggers the validation.
-            list(waitany([]))
-
     def test_waitall_empty_is_noop(self):
         def body(comm):
             values = yield from waitall([])
@@ -64,7 +45,7 @@ class TestFabricTimingProperties:
     TOPOLOGIES = [
         lambda: SingleSwitchTopology(8),
         lambda: FatTreeTopology(8, hosts_per_leaf=4),
-        lambda: TorusTopology((4, 2)),
+        lambda: ThreeLevelFatTreeTopology(4),
     ]
 
     @given(
@@ -83,8 +64,8 @@ class TestFabricTimingProperties:
                         get_interconnect(technology))
 
         def body():
-            end = yield from fabric.transfer(src, dst, nbytes)
-            return end
+            outcome = yield from fabric.transfer_ex(src, dst, nbytes)
+            return outcome.end
 
         measured = sim.run_process(body())
         assert measured == pytest.approx(
@@ -101,8 +82,8 @@ class TestFabricTimingProperties:
         finishes = {}
 
         def sender(src, dst):
-            end = yield from fabric.transfer(src, dst, 100_000)
-            finishes[src] = end
+            outcome = yield from fabric.transfer_ex(src, dst, 100_000)
+            finishes[src] = outcome.end
 
         for pair in range(pairs):
             sim.process(sender(2 * pair, 2 * pair + 1))

@@ -10,7 +10,7 @@ from repro.network import (
     FatTreeTopology,
     NetworkUnreachable,
     SingleSwitchTopology,
-    TorusTopology,
+    ThreeLevelFatTreeTopology,
     TransferDropped,
     get_interconnect,
 )
@@ -29,7 +29,7 @@ class TestUncontendedTiming:
         sim, fabric = build_fabric()
 
         def body():
-            end = yield from fabric.transfer(0, 1, 10_000)
+            end = (yield from fabric.transfer_ex(0, 1, 10_000)).end
             return end
 
         result = sim.run_process(body())
@@ -39,7 +39,7 @@ class TestUncontendedTiming:
         sim, fabric = build_fabric()
 
         def body():
-            yield from fabric.transfer(2, 2, 1_000_000)
+            yield from fabric.transfer_ex(2, 2, 1_000_000)
             return sim.now
 
         elapsed = sim.run_process(body())
@@ -56,22 +56,24 @@ class TestUncontendedTiming:
     def test_multi_hop_charges_hop_latency(self):
         sim = Simulator()
         technology = get_interconnect("infiniband_4x")
-        fabric = Fabric(sim, TorusTopology((4, 4)), technology)
-        near = fabric.uncontended_time(0, 1, 0)       # 1 hop
-        far = fabric.uncontended_time(0, 2, 0)        # 2 hops
-        assert far - near == pytest.approx(technology.hop_latency)
+        fabric = Fabric(sim, ThreeLevelFatTreeTopology(4), technology)
+        near = fabric.uncontended_time(0, 1, 0)       # 2 hops, one edge
+        pod = fabric.uncontended_time(0, 2, 0)        # 4 hops, one pod
+        far = fabric.uncontended_time(0, 15, 0)       # 6 hops, via a core
+        assert pod - near == pytest.approx(2 * technology.hop_latency)
+        assert far - near == pytest.approx(4 * technology.hop_latency)
 
     def test_validation(self):
         sim, fabric = build_fabric()
 
         def bad_size():
-            yield from fabric.transfer(0, 1, -5)
+            yield from fabric.transfer_ex(0, 1, -5)
 
         with pytest.raises(ValueError):
             sim.run_process(bad_size())
 
         def bad_host():
-            yield from fabric.transfer(0, 99, 5)
+            yield from fabric.transfer_ex(0, 99, 5)
 
         with pytest.raises(IndexError):
             sim.run_process(bad_host())
@@ -86,7 +88,7 @@ class TestContention:
         ends = {}
 
         def sender(name, src):
-            end = yield from fabric.transfer(src, 3, nbytes)
+            end = (yield from fabric.transfer_ex(src, 3, nbytes)).end
             ends[name] = end
 
         sim.process(sender("a", 0))
@@ -102,7 +104,7 @@ class TestContention:
         ends = {}
 
         def sender(name, src, dst):
-            end = yield from fabric.transfer(src, dst, nbytes)
+            end = (yield from fabric.transfer_ex(src, dst, nbytes)).end
             ends[name] = end
 
         sim.process(sender("a", 0, 1))
@@ -117,7 +119,7 @@ class TestContention:
         ends = []
 
         def sender(src):
-            end = yield from fabric.transfer(src, 3, nbytes)
+            end = (yield from fabric.transfer_ex(src, 3, nbytes)).end
             ends.append(end)
 
         sim.process(sender(0))
@@ -126,23 +128,23 @@ class TestContention:
         assert ends[0] == pytest.approx(ends[1])
 
     def test_no_deadlock_under_crossing_traffic(self):
-        """All-pairs simultaneous transfers on a torus complete (the
-        total-order acquisition claim)."""
+        """All-pairs simultaneous transfers on a three-level fat tree
+        complete (the total-order acquisition claim)."""
         sim = Simulator()
-        fabric = Fabric(sim, TorusTopology((3, 3)),
+        fabric = Fabric(sim, ThreeLevelFatTreeTopology(4),
                         get_interconnect("infiniband_4x"), contention=True)
         done = []
 
         def sender(src, dst):
-            yield from fabric.transfer(src, dst, 100_000)
+            yield from fabric.transfer_ex(src, dst, 100_000)
             done.append((src, dst))
 
-        for src in range(9):
-            for dst in range(9):
+        for src in range(16):
+            for dst in range(16):
                 if src != dst:
                     sim.process(sender(src, dst))
         sim.run()
-        assert len(done) == 72
+        assert len(done) == 240
 
 
 class TestCircuitSwitching:
@@ -153,9 +155,9 @@ class TestCircuitSwitching:
         ends = []
 
         def body():
-            first = yield from fabric.transfer(0, 1, 1_000)
+            first = (yield from fabric.transfer_ex(0, 1, 1_000)).end
             ends.append(first)
-            second = yield from fabric.transfer(0, 1, 1_000)
+            second = (yield from fabric.transfer_ex(0, 1, 1_000)).end
             ends.append(second)
 
         sim.run_process(body())
@@ -170,9 +172,9 @@ class TestCircuitSwitching:
         fabric = Fabric(sim, SingleSwitchTopology(4), technology)
 
         def body():
-            yield from fabric.transfer(0, 1, 0)
+            yield from fabric.transfer_ex(0, 1, 0)
             t_before = sim.now
-            yield from fabric.transfer(0, 2, 0)   # new pair: pays setup
+            yield from fabric.transfer_ex(0, 2, 0)   # new pair: pays setup
             return sim.now - t_before
 
         duration = sim.run_process(body())
@@ -184,8 +186,8 @@ class TestAccounting:
         sim, fabric = build_fabric(record_transfers=True)
 
         def body():
-            yield from fabric.transfer(0, 1, 500)
-            yield from fabric.transfer(1, 2, 700)
+            yield from fabric.transfer_ex(0, 1, 500)
+            yield from fabric.transfer_ex(1, 2, 700)
 
         sim.run_process(body())
         assert fabric.bytes_moved == 1200
@@ -200,7 +202,7 @@ class TestAccounting:
         sim, fabric = build_fabric()
 
         def body():
-            yield from fabric.transfer(0, 1, 500)
+            yield from fabric.transfer_ex(0, 1, 500)
 
         sim.run_process(body())
         assert fabric.records == []
@@ -308,7 +310,7 @@ class TestStateBoundedByTopology:
 
                 def sender():
                     for src, dst in pairs:
-                        yield from fabric.transfer(src, dst, 64)
+                        yield from fabric.transfer_ex(src, dst, 64)
 
                 sim.run_process(sender())
                 assert fabric.transfer_count == len(pairs)

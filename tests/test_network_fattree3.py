@@ -115,17 +115,22 @@ class TestEndToEnd:
     def test_inter_pod_slower_than_intra_edge(self):
         def body(comm):
             if comm.rank == 0:
-                yield from comm.ssend(np.zeros(1), 1, tag=1)     # 2 hops
-                yield from comm.ssend(np.zeros(1), 15, tag=1)    # 6 hops
-            elif comm.rank in (1, 15):
+                yield from comm.send(np.zeros(1), 1, tag=1)      # 2 hops
+                second = comm.sim.now
+                yield from comm.send(np.zeros(1), 15, tag=1)     # 6 hops
+                return second
+            if comm.rank in (1, 15):
                 yield from comm.recv(0, tag=1)
             return comm.sim.now
 
         result = run_spmd(16, body, technology="infiniband_4x",
                           topology=ThreeLevelFatTreeTopology(4))
         near = result.finish_times[1]
-        far = result.finish_times[15] - result.finish_times[1]
-        assert far > near * 0.5  # extra hops cost visible time
+        far = result.finish_times[15] - result.results[0]
+        # Each message travels alone; the four extra hops cost their
+        # switch latency and nothing else.
+        hop = get_interconnect("infiniband_4x").hop_latency
+        assert far - near == pytest.approx(4 * hop)
 
 
 class TestFabricPricing:

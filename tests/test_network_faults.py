@@ -132,7 +132,7 @@ class TestTransferFaults:
         out = {}
 
         def body(fabric, key, sim):
-            out[key] = yield from fabric.transfer(0, 2, 4096)
+            out[key] = (yield from fabric.transfer_ex(0, 2, 4096)).end
 
         sim_a.process(body(plain, "plain", sim_a))
         sim_b.process(body(faulty, "faulty", sim_b))

@@ -1,90 +1,49 @@
-"""LogGP calibration: the fitter recovers what the catalog generated."""
+"""LogGP calibration: a least-squares fit of E04's simulated ping-pong
+recovers the catalog entry that generated the traffic."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.network import INTERCONNECTS, get_interconnect
-from repro.network.loggp_fit import LogGPFit, fit_loggp
-from repro.messaging import measure_and_fit
+from repro.messaging import run_spmd
+from repro.network import INTERCONNECTS
+from repro.units import KIB, MIB
+from repro.xp.analytic import _pingpong
+
+#: Message sizes of the fit (bytes) and timed round trips per size.
+SIZES = (0, KIB, 16 * KIB, 256 * KIB, MIB)
+REPETITIONS = 3
 
 
-class TestFitMath:
-    def test_exact_synthetic_data(self):
-        sizes = [0, 1000, 10_000, 100_000]
-        startup, gap = 20e-6, 1e-8
-        times = [startup + gap * n for n in sizes]
-        fit = fit_loggp(sizes, times)
-        assert fit.startup_seconds == pytest.approx(startup, rel=1e-9)
-        assert fit.gap_per_byte == pytest.approx(gap, rel=1e-9)
-        assert fit.rms_residual == pytest.approx(0.0, abs=1e-12)
-        assert fit.bandwidth == pytest.approx(1e8)
-        assert fit.n_half == pytest.approx(startup / gap)
-
-    def test_noisy_data_close(self):
-        rng = np.random.default_rng(0)
-        sizes = np.linspace(0, 1 << 20, 20)
-        times = 20e-6 + 1e-9 * sizes
-        noisy = times * rng.normal(1.0, 0.02, size=20)
-        fit = fit_loggp(sizes.astype(int), noisy)
-        assert fit.gap_per_byte == pytest.approx(1e-9, rel=0.1)
-
-    def test_as_params_round_trips_message_time(self):
-        fit = LogGPFit(startup_seconds=30e-6, gap_per_byte=1e-9,
-                       rms_residual=0.0)
-        params = fit.as_params()
-        assert params.message_time(0) == pytest.approx(30e-6, rel=0.01)
-        assert params.bandwidth == pytest.approx(1e9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fit_loggp([1], [1.0])
-        with pytest.raises(ValueError):
-            fit_loggp([5, 5], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            fit_loggp([0, 10], [-1.0, 1.0])
-        # Decreasing times cannot be LogGP-shaped.
-        with pytest.raises(ValueError, match="not LogGP-shaped"):
-            fit_loggp([0, 1_000_000], [1.0, 0.5])
-        with pytest.raises(ValueError):
-            LogGPFit(1e-6, 1e-9, 0.0).as_params(overhead_fraction=1.5)
-
-    @given(st.floats(min_value=1e-6, max_value=1e-3),
-           st.floats(min_value=1e-10, max_value=1e-7))
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip_any_parameters(self, startup, gap):
-        sizes = [0, 4096, 65_536, 1 << 20]
-        times = [startup + gap * n for n in sizes]
-        fit = fit_loggp(sizes, times)
-        assert fit.startup_seconds == pytest.approx(startup, rel=1e-6)
-        assert fit.gap_per_byte == pytest.approx(gap, rel=1e-6)
+def half_round_trips(technology):
+    """E04's ping-pong half round trip at each of ``SIZES``."""
+    return [run_spmd(2, _pingpong, nbytes, REPETITIONS,
+                     technology=technology).results[0]
+            for nbytes in SIZES]
 
 
 class TestEndToEndCalibration:
     @pytest.mark.parametrize("technology", ["gigabit_ethernet",
                                             "infiniband_4x"])
     def test_fit_recovers_catalog_entry(self, technology):
-        """Measuring the simulator and fitting must reproduce the catalog
-        parameters that generated the traffic — the stack is
-        self-consistent end to end.
+        """Measuring the simulator and fitting ``T(n) = startup + n * G``
+        must reproduce the catalog parameters that generated the traffic
+        — the stack is self-consistent end to end.
 
         The fitted startup is the *fabric-level* zero-byte cost
         (2o + g + L + hop latency), which exceeds the idealised LogGP
         ``message_time(0)`` by the injection gap and switch hop — the
         same difference real calibrations see between model and wire.
         """
-        fit, measurements = measure_and_fit(technology)
+        gap_per_byte, startup = np.polyfit(SIZES,
+                                           half_round_trips(technology), 1)
         catalog = INTERCONNECTS[technology]
         params = catalog.loggp
-        assert fit.bandwidth == pytest.approx(params.bandwidth, rel=0.02)
+        assert 1.0 / gap_per_byte == pytest.approx(params.bandwidth,
+                                                   rel=0.02)
         fabric_startup = (2 * params.overhead + params.gap + params.latency
                           + catalog.hop_latency)
-        assert fit.startup_seconds == pytest.approx(fabric_startup,
-                                                    rel=0.15)
-        assert len(measurements) == 5
+        assert startup == pytest.approx(fabric_startup, rel=0.15)
 
     def test_measured_times_monotone(self):
-        _fit, measurements = measure_and_fit("myrinet_2000")
-        sizes = sorted(measurements)
-        times = [measurements[s] for s in sizes]
+        times = half_round_trips("myrinet_2000")
         assert times == sorted(times)

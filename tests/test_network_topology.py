@@ -3,14 +3,11 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.network import (
     FatTreeTopology,
-    HypercubeTopology,
     SingleSwitchTopology,
     ThreeLevelFatTreeTopology,
-    TorusTopology,
     canonical_link,
     get_interconnect,
 )
@@ -102,94 +99,6 @@ class TestFatTree:
         assert_route_valid(topology, 0, 19)
 
 
-class TestTorus:
-    def test_structure_2d(self):
-        topology = TorusTopology((4, 4))
-        assert topology.hosts == 16
-        assert topology.num_links == 32          # 2 links per host
-        assert topology.num_switches == 0        # direct network
-
-    def test_coordinates_round_trip(self):
-        topology = TorusTopology((3, 4, 5))
-        for rank in range(topology.hosts):
-            assert topology.rank_of(topology.coords_of(rank)) == rank
-
-    def test_wraparound_shortens_routes(self):
-        topology = TorusTopology((8,) * 2)
-        # 0 -> 7 in one dimension: wrap is 1 hop, not 7.
-        assert topology.hop_count(0, 7) == 1
-
-    def test_dimension_ordered_routing_valid(self):
-        topology = TorusTopology((4, 4))
-        for src in range(16):
-            for dst in range(16):
-                assert_route_valid(topology, src, dst)
-
-    def test_hop_count_is_manhattan_with_wrap(self):
-        topology = TorusTopology((6, 6))
-        src = topology.rank_of((0, 0))
-        dst = topology.rank_of((2, 5))
-        assert topology.hop_count(src, dst) == 2 + 1  # wrap the second dim
-
-    def test_diameter(self):
-        assert TorusTopology((8, 8)).diameter_hops() == 8
-        assert TorusTopology((4, 4, 4)).diameter_hops() == 6
-
-    def test_bisection(self):
-        assert TorusTopology((8, 8)).bisection_links() == 16
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TorusTopology((1, 4))
-        with pytest.raises(ValueError):
-            TorusTopology(())
-
-
-class TestHypercube:
-    def test_structure(self):
-        topology = HypercubeTopology(4)
-        assert topology.hosts == 16
-        assert topology.num_links == 16 * 4 // 2
-
-    def test_hop_count_is_hamming_distance(self):
-        topology = HypercubeTopology(5)
-        assert topology.hop_count(0, 0b10110) == 3
-        assert topology.diameter_hops() == 5
-
-    def test_routes_valid(self):
-        topology = HypercubeTopology(4)
-        for src in range(16):
-            for dst in range(16):
-                assert_route_valid(topology, src, dst)
-
-    def test_bisection(self):
-        assert HypercubeTopology(4).bisection_links() == 8
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HypercubeTopology(0)
-
-
-class TestRoutingProperties:
-    @given(st.integers(min_value=2, max_value=6),
-           st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_hypercube_routes_are_shortest(self, dimension, data):
-        topology = HypercubeTopology(dimension)
-        src = data.draw(st.integers(0, topology.hosts - 1))
-        dst = data.draw(st.integers(0, topology.hosts - 1))
-        assert topology.hop_count(src, dst) == bin(src ^ dst).count("1")
-
-    @given(st.tuples(st.integers(2, 5), st.integers(2, 5)), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_torus_routes_never_exceed_diameter(self, shape, data):
-        topology = TorusTopology(shape)
-        src = data.draw(st.integers(0, topology.hosts - 1))
-        dst = data.draw(st.integers(0, topology.hosts - 1))
-        assert_route_valid(topology, src, dst)
-        assert topology.hop_count(src, dst) <= topology.diameter_hops()
-
-
 def h(rank):
     """Host graph node."""
     return ("h", rank)
@@ -242,43 +151,6 @@ GRAPH_CASES = [
              path=[h(0), s(0), s(8), s(16), s(14), s(7), h(15)],
              path_first_link_down=None),
         id="fattree3-k4"),
-    pytest.param(
-        lambda: TorusTopology((4, 4)),
-        dict(links=32, switches=0, switch_ports=0,
-             host0_neighbours=[h(1), h(3), h(4), h(12)],
-             edges_sha256="56df6d244dd995f62bfa7d6f38165bff8b826a8a48dd69b2"
-                          "677fd722b9179d69",
-             path=[h(0), h(3), h(15)],
-             path_first_link_down=[h(0), h(12), h(15)]),
-        id="torus-4x4"),
-    pytest.param(
-        # k=2 rings add each link twice; the graph stores it once.
-        lambda: TorusTopology((2, 4)),
-        dict(links=12, switches=0, switch_ports=0,
-             host0_neighbours=[h(1), h(3), h(4)],
-             edges_sha256="80c00a54357be240de912b4cdcf778b345939c0075eac2da"
-                          "b1a7443fb6f2a2d9",
-             path=[h(0), h(3), h(7)],
-             path_first_link_down=[h(0), h(4), h(7)]),
-        id="torus-2x4"),
-    pytest.param(
-        lambda: TorusTopology((3, 3, 3)),
-        dict(links=81, switches=0, switch_ports=0,
-             host0_neighbours=[h(1), h(2), h(3), h(6), h(9), h(18)],
-             edges_sha256="bb5d58fb9272a658ace512b904e7cad242ea1c291502011b"
-                          "b7ef702464c397f7",
-             path=[h(0), h(2), h(8), h(26)],
-             path_first_link_down=[h(0), h(6), h(8), h(26)]),
-        id="torus-3x3x3"),
-    pytest.param(
-        lambda: HypercubeTopology(4),
-        dict(links=32, switches=0, switch_ports=0,
-             host0_neighbours=[h(1), h(2), h(4), h(8)],
-             edges_sha256="1c1a25cbe26ea8c606dc48595dfe664bd8612a83d5295a8b"
-                          "5c294fdfdcfadf2d",
-             path=[h(0), h(1), h(3), h(7), h(15)],
-             path_first_link_down=[h(0), h(2), h(3), h(7), h(15)]),
-        id="hypercube-4"),
 ]
 
 
@@ -319,3 +191,27 @@ class TestGraphPinned:
         cut = frozenset(pins["host0_neighbours"])
         expected = [] if dst == 0 else None
         assert topology.route_avoiding(0, dst, down_nodes=cut) == expected
+
+    def test_route_avoiding_finds_the_next_shortest_path(self):
+        """The base-class BFS, which the three-level fat tree falls back
+        to under faults, routes around a down uplink or core group."""
+        topology = ThreeLevelFatTreeTopology(4)
+        assert _path(topology.route_avoiding(0, 15)) == [
+            h(0), s(0), s(8), s(16), s(14), s(7), h(15)]
+        around = [h(0), s(0), s(9), s(18), s(15), s(7), h(15)]
+        uplink = frozenset({canonical_link(s(0), s(8))})
+        assert _path(topology.route_avoiding(
+            0, 15, down_links=uplink)) == around
+        cores = frozenset({s(16), s(17)})
+        degraded = topology.route_avoiding(0, 15, down_nodes=cores)
+        assert _path(degraded) == around
+        for a, b in degraded:
+            assert topology.graph.has_edge(a, b)
+        # Both of the edge switch's uplinks down: no path leaves it.
+        both = uplink | {canonical_link(s(0), s(9))}
+        assert topology.route_avoiding(0, 15, down_links=both) is None
+        # Every core down cuts the pods apart, but not a pod inside.
+        all_cores = frozenset(s(index) for index in range(16, 20))
+        assert topology.route_avoiding(0, 15, down_nodes=all_cores) is None
+        assert _path(topology.route_avoiding(
+            0, 3, down_nodes=all_cores)) == [h(0), s(0), s(8), s(1), h(3)]
