@@ -27,8 +27,6 @@ from typing import List
 import numpy as np
 
 from repro.cluster.cost import CostModel
-from repro.cluster.packaging import RackConfig, pack_cluster
-from repro.cluster.spec import ClusterSpec
 from repro.nodes.base import NodeSpec
 from repro.nodes.catalog import make_node
 from repro.network.technologies import available_interconnects

@@ -88,6 +88,11 @@ KernelFactory = Callable[[int, RandomStreams, Dict[str, Any]],
 
 _KERNELS: Dict[str, KernelFactory] = {}
 
+#: Interconnect of every campaign fabric, fault and jobs campaigns alike.
+CAMPAIGN_INTERCONNECT = "gigabit_ethernet"
+#: Retransmissions a campaign message gets before delivery gives up.
+_MAX_RETRIES = 12
+
 
 def register_kernel(name: str, factory: KernelFactory) -> None:
     """Register an app kernel for campaigns (idempotent per name)."""
@@ -162,10 +167,10 @@ class CampaignSpec:
 
     ``app_args`` is a tuple of ``(key, value)`` pairs (hashable stand-in
     for a dict) handed to the kernel factory.  ``checkpoint_every``
-    checkpoints after every k-th kernel step.  The messaging layer runs
-    reliable + fault-aware by default — a campaign without reliable
-    delivery deadlocks on the first lost message, which is itself a
-    result (the "no-recovery cliff" of bench E20).
+    checkpoints after every k-th kernel step.  The messaging layer is
+    always fault-aware and runs reliable by default — a campaign
+    without reliable delivery deadlocks on the first lost message,
+    which is itself a result (the "no-recovery cliff" of bench E20).
     """
 
     kernel: str
@@ -176,17 +181,11 @@ class CampaignSpec:
     link_faults: Tuple[LinkFaultSpec, ...] = ()
     switch_faults: Tuple[SwitchFaultSpec, ...] = ()
     seed: int = 0
-    technology: str = "gigabit_ethernet"
-    hosts_per_leaf: Optional[int] = None
     checkpoint_every: int = 1
     checkpoint_write_seconds: float = 1e-3
     restart_seconds: float = 5e-3
     drop_probability: float = 0.0
-    corrupt_probability: float = 0.0
     reliable: bool = True
-    fault_aware: bool = True
-    op_timeout: Optional[float] = None
-    max_retries: int = 12
     #: When set, the faulty run recovers from *detected* deaths (a
     #: heartbeat monitor through the fabric) instead of the oracle:
     #: rollback waits for the detector, lost work includes time-to-
@@ -207,18 +206,20 @@ class CampaignSpec:
 
     def comm_config(self) -> CommConfig:
         """The messaging configuration this campaign runs under."""
-        return CommConfig(reliable=self.reliable,
-                          fault_aware=self.fault_aware,
-                          op_timeout=self.op_timeout,
-                          max_retries=self.max_retries)
+        return CommConfig(reliable=self.reliable, fault_aware=True,
+                          max_retries=_MAX_RETRIES)
 
     def topology(self) -> FatTreeTopology:
         """Full-bisection fat tree (spine redundancy enables re-routing)."""
-        per_leaf = self.hosts_per_leaf
-        if per_leaf is None:
-            per_leaf = max(2, -(-self.ranks // 4))  # ceil(ranks / 4)
-        return FatTreeTopology(self.ranks, hosts_per_leaf=per_leaf,
-                               spines=per_leaf)
+        return _fat_tree(self.ranks)
+
+
+def _fat_tree(hosts: int) -> FatTreeTopology:
+    """The campaign fabric's shape: a fat tree with ``ceil(hosts / 4)``
+    (at least 2) hosts per leaf and as many spines, so every leaf has
+    full bisection.  Jobs campaigns size theirs the same way."""
+    per_leaf = max(2, -(-hosts // 4))  # ceil(hosts / 4)
+    return FatTreeTopology(hosts, hosts_per_leaf=per_leaf, spines=per_leaf)
 
 
 # -- coordinated checkpointing ---------------------------------------------
@@ -398,7 +399,6 @@ def build_fault_plan(
         link_faults: Tuple[LinkFaultSpec, ...] = (),
         switch_faults: Tuple[SwitchFaultSpec, ...] = (),
         drop_probability: float = 0.0,
-        corrupt_probability: float = 0.0,
         streams: Optional[RandomStreams] = None,
 ) -> Optional[FabricFaultPlan]:
     """The fabric fault plan for a faulty run (None when no fabric
@@ -410,7 +410,7 @@ def build_fault_plan(
     campaigns in :mod:`repro.jobs.campaign` — one translation from
     declarative fault specs to a live :class:`FabricFaultPlan`.
     """
-    random_faults = drop_probability > 0 or corrupt_probability > 0
+    random_faults = drop_probability > 0
     if not (link_faults or switch_faults or random_faults):
         return None
     rng = None
@@ -419,9 +419,7 @@ def build_fault_plan(
             raise ValueError(
                 "probabilistic fabric faults need a RandomStreams")
         rng = streams.get("network.faults")
-    plan = FabricFaultPlan(drop_probability=drop_probability,
-                           corrupt_probability=corrupt_probability,
-                           rng=rng)
+    plan = FabricFaultPlan(drop_probability=drop_probability, rng=rng)
     for lf in link_faults:
         if not topology.graph.has_edge(lf.a, lf.b):
             raise ValueError(
@@ -636,13 +634,12 @@ def _run_once(spec: CampaignSpec, faults_enabled: bool,
         topology, link_faults=spec.link_faults,
         switch_faults=spec.switch_faults,
         drop_probability=spec.drop_probability,
-        corrupt_probability=spec.corrupt_probability,
         streams=streams) if faults_enabled else None
     # One fabric for the whole run: outage schedules, degraded-route
     # caches, and traffic counters span incarnations, as on a real
     # machine.  Each incarnation gets a fresh CommWorld so stale traffic
     # from a torn-down job can never match a restarted rank's receives.
-    fabric = Fabric(sim, topology, get_interconnect(spec.technology),
+    fabric = Fabric(sim, topology, get_interconnect(CAMPAIGN_INTERCONNECT),
                     fault_plan=plan)
     config = spec.comm_config()
     vault = CheckpointVault(spec.ranks)

@@ -16,10 +16,11 @@ Protocol, per node ``i`` and period ``T`` (``heartbeat_interval``):
    sweep from ``i``'s named RNG stream) and sends a ping through the
    real :class:`~repro.network.fabric.Fabric`.  A live, reachable ``t``
    acks immediately.
-2. **Indirect probes.**  No ack by ``probe_timeout``: ``i`` asks ``k``
-   randomly chosen relays to ping ``t`` on its behalf (``ping-req``),
-   buying per-link routing diversity — one bad link between ``i`` and
-   ``t`` cannot by itself manufacture a suspicion.
+2. **Indirect probes.**  No ack a third of the way into the period:
+   ``i`` asks ``K_INDIRECT`` randomly chosen relays to ping ``t`` on its
+   behalf (``ping-req``), buying per-link routing diversity — one bad
+   link between ``i`` and ``t`` cannot by itself manufacture a
+   suspicion.
 3. **Suspicion, not execution.**  Still no ack by the period's end:
    ``i`` *suspects* ``t`` at ``t``'s current incarnation and starts a
    suspicion timer (``effective_dead_after``).  If the rumour reaches a
@@ -27,8 +28,8 @@ Protocol, per node ``i`` and period ``T`` (``heartbeat_interval``):
    incarnation; if the timer expires unrefuted, ``i`` declares ``t``
    dead.
 4. **Piggybacked dissemination.**  Every ping/ack/ping-req carries up to
-   ``piggyback_limit`` membership updates, each retransmitted
-   ``ceil(retransmit_factor * log2(n + 1))`` times, fewest-sent first —
+   ``PIGGYBACK_LIMIT`` membership updates, each retransmitted
+   ``ceil(RETRANSMIT_FACTOR * log2(n + 1))`` times, fewest-sent first —
    the epidemic broadcast that spreads verdicts in O(log n) periods
    with zero dedicated traffic.
 
@@ -70,6 +71,7 @@ from typing import (
 )
 
 from repro.health.monitor import (
+    HEARTBEAT_BYTES,
     DetectionSpec,
     HeartbeatMonitor,
     MembershipMonitor,
@@ -100,6 +102,18 @@ class GossipStatus(enum.IntEnum):
     SUSPECT = 1
     DEAD = 2
 
+
+#: Relays asked to ping a target whose direct probe went unacked
+#: (SWIM's ``k``).
+K_INDIRECT = 3
+#: Most membership updates one ping, ack or ping-req carries.
+PIGGYBACK_LIMIT = 8
+#: Wire bytes each piggybacked update adds to a message's
+#: ``HEARTBEAT_BYTES`` header.
+BYTES_PER_UPDATE = 16
+#: SWIM's ``lambda``: an update is retransmitted
+#: ``ceil(RETRANSMIT_FACTOR * log2(n + 1))`` times.
+RETRANSMIT_FACTOR = 3.0
 
 #: A member's default entry: alive at incarnation zero (never stored).
 _FRESH: Tuple[GossipStatus, int] = (GossipStatus.ALIVE, 0)
@@ -179,7 +193,7 @@ class GossipMonitor(MembershipMonitor):
         self.streams = streams if streams is not None else RandomStreams(0)
         #: Retransmissions per update: the SWIM lambda * log2(n) budget.
         self.retransmit_budget = max(1, math.ceil(
-            self.spec.retransmit_factor * math.log2(nodes + 1)))
+            RETRANSMIT_FACTOR * math.log2(nodes + 1)))
         #: Per-node deviations from "alive at incarnation 0" (sparse).
         self._views: List[Dict[int, Tuple[GossipStatus, int]]] = [
             {} for _ in range(nodes)]
@@ -340,10 +354,10 @@ class GossipMonitor(MembershipMonitor):
         return None
 
     def _pick_relays(self, node: int, target: int) -> List[int]:
-        """Up to ``k_indirect`` distinct relays for an indirect probe
+        """Up to ``K_INDIRECT`` distinct relays for an indirect probe
         (never the prober or the target, never a believed-dead node)."""
         n = self.nodes
-        k = min(self.spec.k_indirect, max(n - 2, 0))
+        k = min(K_INDIRECT, max(n - 2, 0))
         if k <= 0:
             return []
         rng = self._rng(node)
@@ -366,9 +380,10 @@ class GossipMonitor(MembershipMonitor):
     def _probe_body(self, node: int,
                     target: int) -> Generator[Event, Any, None]:
         """Process body: one full SWIM probe round (direct ping, then k
-        indirect relays, then the suspicion verdict at period end)."""
+        indirect relays, then the suspicion verdict at period end).  The
+        direct ack gets a third of the period, the relays the rest."""
         spec = self.spec
-        direct_deadline = spec.effective_probe_timeout
+        direct_deadline = spec.heartbeat_interval / 3.0
         state: Dict[str, bool] = {"acked": False}
         self.sim.process(self._direct_leg(node, target, state),
                          name=f"gs.ping{node}")
@@ -394,8 +409,7 @@ class GossipMonitor(MembershipMonitor):
         unreachability are swallowed into the counters exactly like
         lost heartbeats (the protocol's whole job is surviving them).
         """
-        nbytes = (self.spec.heartbeat_bytes
-                  + updates * self.spec.bytes_per_update)
+        nbytes = HEARTBEAT_BYTES + updates * BYTES_PER_UPDATE
         self.heartbeats_sent += 1
         self.bytes_sent_by[src] += nbytes
         try:
@@ -462,7 +476,7 @@ class GossipMonitor(MembershipMonitor):
 
     def _select_updates(self, node: int
                         ) -> List[Tuple[int, GossipStatus, int]]:
-        """Pick up to ``piggyback_limit`` updates from ``node``'s
+        """Pick up to ``PIGGYBACK_LIMIT`` updates from ``node``'s
         dissemination queue, fewest-sent first (ties by subject id, so
         the choice is deterministic), and charge their budgets."""
         queue = self._queues[node]
@@ -470,7 +484,7 @@ class GossipMonitor(MembershipMonitor):
             return []
         order = sorted(queue.items(),
                        key=lambda item: (-item[1][2], item[0]))
-        picked = order[:self.spec.piggyback_limit]
+        picked = order[:PIGGYBACK_LIMIT]
         selected: List[Tuple[int, GossipStatus, int]] = []
         for subject, entry in picked:
             selected.append(

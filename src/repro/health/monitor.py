@@ -54,6 +54,10 @@ __all__ = [
     "MembershipMonitor",
 ]
 
+#: Bytes in one heartbeat; gossip charges the same fixed header for
+#: every ping, ack and ping-req.
+HEARTBEAT_BYTES = 64
+
 
 @dataclass(frozen=True)
 class DetectionSpec:
@@ -65,17 +69,17 @@ class DetectionSpec:
     :class:`~repro.health.gossip.GossipMonitor` (build either through
     :func:`~repro.health.gossip.build_monitor`).
     Threshold fields left ``None`` derive from the heartbeat interval:
-    ``suspect_after`` defaults to 3 intervals, ``dead_after`` to 8, and
-    the checker runs every half interval.  The defaults are deliberately
-    conservative; bench E21 sweeps them.
+    ``suspect_after`` defaults to 3 intervals and ``dead_after`` to 8.
+    The defaults are deliberately conservative; bench E21 sweeps them.
+    The central checker runs every half interval, and ``"phi"`` uses
+    :class:`~repro.health.detectors.PhiAccrualDetector`'s own window and
+    thresholds.
 
     For gossip, ``heartbeat_interval`` is the protocol period (one probe
-    per node per period), ``heartbeat_bytes`` the fixed header cost of
-    every ping/ack, ``effective_dead_after`` the suspicion timeout, and
-    ``heartbeat_slots`` the slotted probe-round discipline; the
-    ``k_indirect``/``piggyback_limit``/``bytes_per_update``/
-    ``probe_timeout``/``retransmit_factor`` knobs are gossip-only and
-    ignored by the central monitor.
+    per node per period), ``effective_dead_after`` the suspicion
+    timeout, and ``heartbeat_slots`` the slotted probe-round discipline;
+    the rest of the protocol's shape is fixed in
+    :mod:`repro.health.gossip`.
 
     ``heartbeat_slots`` is the number ``S`` of evenly-spaced slots per
     interval that one driver process walks; node ``n`` beats (or
@@ -91,20 +95,10 @@ class DetectionSpec:
 
     detector: str = "fixed"
     heartbeat_interval: float = 2e-4
-    heartbeat_bytes: int = 64
     monitor_host: int = 0
-    check_interval: Optional[float] = None
     suspect_after: Optional[float] = None
     dead_after: Optional[float] = None
-    phi_window: int = 16
-    suspect_phi: float = 1.5
-    dead_phi: float = 3.0
     heartbeat_slots: Optional[int] = None
-    k_indirect: int = 3
-    piggyback_limit: int = 8
-    bytes_per_update: int = 16
-    probe_timeout: Optional[float] = None
-    retransmit_factor: float = 3.0
 
     def __post_init__(self) -> None:
         if self.detector not in ("fixed", "phi", "gossip"):
@@ -113,46 +107,14 @@ class DetectionSpec:
                 "(fixed, phi or gossip)")
         if self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
-        if self.heartbeat_bytes < 1:
-            raise ValueError("heartbeat_bytes must be >= 1")
         if self.monitor_host < 0:
             raise ValueError("monitor_host must be >= 0")
-        if self.check_interval is not None and self.check_interval <= 0:
-            raise ValueError("check_interval must be positive or None")
         for name in ("suspect_after", "dead_after"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive or None")
         if self.heartbeat_slots is not None and self.heartbeat_slots < 1:
             raise ValueError("heartbeat_slots must be >= 1 or None")
-        if self.k_indirect < 1:
-            raise ValueError("k_indirect must be >= 1")
-        if self.piggyback_limit < 1:
-            raise ValueError("piggyback_limit must be >= 1")
-        if self.bytes_per_update < 0:
-            raise ValueError("bytes_per_update must be >= 0")
-        if self.retransmit_factor <= 0:
-            raise ValueError("retransmit_factor must be positive")
-        if self.probe_timeout is not None and not (
-                0 < self.probe_timeout < self.heartbeat_interval):
-            raise ValueError(
-                "probe_timeout must sit inside one protocol period "
-                "(0, heartbeat_interval) or be None")
-
-    @property
-    def effective_probe_timeout(self) -> float:
-        """Gossip direct-probe ack deadline (a third of the period by
-        default, leaving two thirds for the indirect relays)."""
-        if self.probe_timeout is not None:
-            return self.probe_timeout
-        return self.heartbeat_interval / 3.0
-
-    @property
-    def effective_check_interval(self) -> float:
-        """Checker period (half the heartbeat interval by default)."""
-        if self.check_interval is not None:
-            return self.check_interval
-        return self.heartbeat_interval / 2.0
 
     @property
     def effective_suspect_after(self) -> float:
@@ -177,11 +139,7 @@ class DetectionSpec:
                 "repro.health.build_monitor")
         if self.detector == "phi":
             return PhiAccrualDetector(
-                bootstrap_interval=self.heartbeat_interval,
-                suspect_phi=self.suspect_phi,
-                dead_phi=self.dead_phi,
-                window=self.phi_window,
-            )
+                bootstrap_interval=self.heartbeat_interval)
         return FixedTimeoutDetector(
             suspect_after=self.effective_suspect_after,
             dead_after=self.effective_dead_after,
@@ -531,7 +489,7 @@ class HeartbeatMonitor(MembershipMonitor):
         own, exactly like application traffic)."""
         try:
             yield from self.fabric.transfer_ex(node, self.spec.monitor_host,
-                                               self.spec.heartbeat_bytes)
+                                               HEARTBEAT_BYTES)
         except (TransferDropped, NetworkUnreachable):
             self.heartbeats_lost += 1
             return
@@ -539,8 +497,9 @@ class HeartbeatMonitor(MembershipMonitor):
         self.detector.observe(node, self.sim.now)
 
     def _check_body(self) -> Generator[Event, Any, None]:
-        """Process body: poll the detector and drive the state machine."""
-        interval = self.spec.effective_check_interval
+        """Process body: poll the detector and drive the state machine
+        every half heartbeat interval."""
+        interval = self.spec.heartbeat_interval / 2.0
         try:
             while True:
                 yield self.sim.timeout(interval)

@@ -20,8 +20,6 @@ with the machine.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.fault.checkpoint import CheckpointParams
 from repro.fault.models import system_mtbf
 from repro.io.disk import DiskModel

@@ -3,8 +3,8 @@
 A :class:`JobsCampaignSpec` declares a workload (tenant submissions)
 plus a schedule of control-plane faults — worker crashes, worker
 stalls, supervisor crashes with delayed restarts, duplicate
-submissions, and fabric faults (link/switch outages, probabilistic
-drops) reusing the declarative specs and plan builder from
+submissions, and fabric faults (link outages, probabilistic drops)
+reusing the declarative specs and plan builder from
 :mod:`repro.fault.campaign`.  :func:`run_jobs_campaign` executes it
 deterministically and returns a :class:`JobsCampaignReport` whose
 ``violations`` come from the log's own replay checker
@@ -21,16 +21,16 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.fault.campaign import (
+    CAMPAIGN_INTERCONNECT,
     LinkFaultSpec,
-    SwitchFaultSpec,
+    _fat_tree,
     _kill_process,
     build_fault_plan,
 )
 from repro.health.monitor import DetectionOutcome
-from repro.jobs.log import JobLog
 from repro.jobs.service import JobService, ServiceConfig
 from repro.jobs.state import JobRequest, JobState
 from repro.network.fabric import Fabric
@@ -140,11 +140,8 @@ class JobsCampaignSpec:
     supervisor_crashes: Tuple[SupervisorCrashSpec, ...] = ()
     duplicate_submits: Tuple[DuplicateSubmitSpec, ...] = ()
     link_faults: Tuple[LinkFaultSpec, ...] = ()
-    switch_faults: Tuple[SwitchFaultSpec, ...] = ()
     drop_probability: float = 0.0
-    corrupt_probability: float = 0.0
     seed: int = 0
-    technology: str = "gigabit_ethernet"
     #: Hard stop for the virtual clock — jobs still open here stay open.
     horizon: float = 0.5
 
@@ -176,18 +173,14 @@ class JobsCampaignSpec:
 
     def topology(self) -> FatTreeTopology:
         """Full-bisection fat tree over supervisor + workers + spares."""
-        hosts = self.service.total_hosts
-        per_leaf = max(2, -(-hosts // 4))  # ceil(hosts / 4)
-        return FatTreeTopology(hosts, hosts_per_leaf=per_leaf,
-                               spines=per_leaf)
+        return _fat_tree(self.service.total_hosts)
 
     def without_faults(self) -> "JobsCampaignSpec":
         """The clean twin: same workload and duplicates, zero faults
         (the goodput baseline E22 compares against)."""
         return dataclasses.replace(
             self, worker_crashes=(), worker_stalls=(),
-            supervisor_crashes=(), link_faults=(), switch_faults=(),
-            drop_probability=0.0, corrupt_probability=0.0,
+            supervisor_crashes=(), link_faults=(), drop_probability=0.0,
             name=f"{self.name}-clean" if self.name else "clean")
 
 
@@ -290,30 +283,25 @@ class DeterminismProof:
 # -- SWF-trace bridge ------------------------------------------------------
 
 
-def requests_from_jobs(jobs: Tuple[Job, ...],
-                       tenant: str = "swf",
-                       kernel: str = "digest",
-                       time_scale: float = 1.0) -> Tuple[JobRequest, ...]:
+def requests_from_jobs(jobs: Tuple[Job, ...]) -> Tuple[JobRequest, ...]:
     """Turn a batch-scheduler trace into control-plane submissions.
 
     Each :class:`~repro.scheduler.job.Job` (typically parsed from an
     SWF trace via :func:`~repro.scheduler.swf.parse_swf`) becomes one
-    :class:`JobRequest` whose idempotency key is the trace job id and
-    whose payload records the trace shape.  ``time_scale`` maps trace
-    seconds onto the service's clock — SWF traces live at integer
-    seconds, the jobs service at milliseconds, so E22 passes ``1e-3``.
-    Prefer :func:`~repro.scheduler.job.scale_jobs` + ``time_scale=1``
-    only when the scaled times must round-trip through SWF text again.
+    ``digest`` :class:`JobRequest` from tenant ``swf`` whose
+    idempotency key is the trace job id and whose payload records the
+    trace shape.  Work and submit times carry over as they are: SWF
+    traces live at integer seconds and the jobs service at
+    milliseconds, so E22 first scales the trace with
+    :func:`~repro.scheduler.job.scale_jobs` (``1e-3``).
     """
-    if time_scale <= 0:
-        raise ValueError("time_scale must be positive")
     return tuple(
-        JobRequest(tenant=tenant,
+        JobRequest(tenant="swf",
                    key=f"swf-{job.job_id}",
-                   kernel=kernel,
+                   kernel="digest",
                    payload=(("job", job.job_id), ("nodes", job.nodes)),
-                   work_seconds=job.runtime * time_scale,
-                   submit_time=job.submit_time * time_scale)
+                   work_seconds=job.runtime,
+                   submit_time=job.submit_time)
         for job in jobs)
 
 
@@ -415,11 +403,9 @@ def run_jobs_campaign(
     plan = build_fault_plan(
         topology,
         link_faults=spec.link_faults,
-        switch_faults=spec.switch_faults,
         drop_probability=spec.drop_probability,
-        corrupt_probability=spec.corrupt_probability,
         streams=streams)
-    fabric = Fabric(sim, topology, get_interconnect(spec.technology),
+    fabric = Fabric(sim, topology, get_interconnect(CAMPAIGN_INTERCONNECT),
                     fault_plan=plan)
     service = JobService(sim, fabric, config=spec.service,
                          streams=streams)
@@ -508,18 +494,15 @@ def run_jobs_campaign(
     )
 
 
-def prove_determinism(spec: JobsCampaignSpec,
-                      runs: int = 2) -> DeterminismProof:
-    """Run ``spec`` ``runs`` times and compare canonical log digests.
+def prove_determinism(spec: JobsCampaignSpec) -> DeterminismProof:
+    """Run ``spec`` twice and compare canonical log digests.
 
     Every run builds a fresh simulator, fabric, and service from the
     same seed; the proof passes only when the durable logs are
     byte-identical — the whole-campaign determinism guarantee E22 and
     the ``jobs`` CLI assert.
     """
-    if runs < 2:
-        raise ValueError("a determinism proof needs at least two runs")
-    reports = tuple(run_jobs_campaign(spec) for _ in range(runs))
+    reports = (run_jobs_campaign(spec), run_jobs_campaign(spec))
     return DeterminismProof(
         digests=tuple(report.log_digest for report in reports),
         reports=reports)

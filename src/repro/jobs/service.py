@@ -162,30 +162,40 @@ class WorkerStall:
 
 # -- configuration ---------------------------------------------------------
 
+# The service's timing is sized for simulation (milliseconds, not
+# minutes).  Two relations keep it safe and cheap, and a test pins both:
+# a lease outlives a renewal period (a worker must get one renewal in
+# per lease term), and the write-retry wait exceeds a supervisor tick
+# plus a round trip (or every write pays a pointless retransmit).
+
+#: How long a grant or renewal keeps a job leased to its worker.
+LEASE_SECONDS = 2e-3
+#: A working worker renews its lease this often.
+RENEW_EVERY = 5e-4
+#: The supervisor's loop period (drain inbox, deaths, expiries, grants).
+TICK_INTERVAL = 2.5e-4
+#: A worker resends an unacknowledged effect write after this long.
+WRITE_RETRY_SECONDS = 1.5e-3
+#: Resends of one effect write before the worker stands down.
+WRITE_MAX_RETRIES = 10
+#: Grants a job gets before it fails as ``attempts-exhausted``.
+MAX_ATTEMPTS = 8
+#: Wire bytes of every control-plane message.
+MESSAGE_BYTES = 256
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Declarative shape and timing of one job service.
-
-    The defaults are sized for simulation-scale tests (milliseconds,
-    not minutes).  The safety-critical relation is
-    ``lease_seconds > renew_every`` — a worker must get at least one
-    renewal in per lease term — and ``write_retry_seconds`` should
-    exceed ``tick_interval`` plus a round trip, or every write pays a
-    pointless retransmit.
+    """Declarative shape of one job service: its hosts, the
+    supervisor-crash-mid-grant window, the repair delay and the
+    detector.  Lease, tick and write-retry timing are the module
+    constants above (``LEASE_SECONDS`` and the rest).
     """
 
     workers: int = 4
     spare_workers: int = 0
-    lease_seconds: float = 2e-3
-    renew_every: float = 5e-4
-    tick_interval: float = 2.5e-4
     grant_commit_gap: float = 2e-5
-    write_retry_seconds: float = 1.5e-3
-    write_max_retries: int = 10
-    max_attempts: int = 8
     repair_seconds: float = 2e-3
-    message_bytes: int = 256
     detection: Optional[DetectionSpec] = None
 
     def __post_init__(self) -> None:
@@ -193,26 +203,10 @@ class ServiceConfig:
             raise ValueError("need at least one worker")
         if self.spare_workers < 0:
             raise ValueError("spare_workers must be >= 0")
-        if self.lease_seconds <= 0 or self.renew_every <= 0:
-            raise ValueError("lease_seconds and renew_every must be > 0")
-        if self.lease_seconds <= self.renew_every:
-            raise ValueError(
-                "lease_seconds must exceed renew_every (a worker must "
-                "be able to renew before its lease expires)")
-        if self.tick_interval <= 0:
-            raise ValueError("tick_interval must be positive")
         if self.grant_commit_gap < 0:
             raise ValueError("grant_commit_gap must be >= 0")
-        if self.write_retry_seconds <= 0:
-            raise ValueError("write_retry_seconds must be positive")
-        if self.write_max_retries < 0:
-            raise ValueError("write_max_retries must be >= 0")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         if self.repair_seconds < 0:
             raise ValueError("repair_seconds must be >= 0")
-        if self.message_bytes < 1:
-            raise ValueError("message_bytes must be >= 1")
         detection = self.detection
         if detection is not None and detection.monitor_host != 0:
             raise ValueError("the supervisor host (0) must be the "
@@ -383,7 +377,7 @@ class JobService:
         the inbox (the worker was stalled or backlogged) is dropped,
         not executed: its token is doomed, and starting it anyway
         keeps the worker one expiry behind forever — every attempt
-        burns down ``max_attempts`` without a single durable effect."""
+        burns down ``MAX_ATTEMPTS`` without a single durable effect."""
         sim = self.sim
         inbox = self.inboxes[host]
         try:
@@ -408,14 +402,13 @@ class JobService:
     def _execute(self, host: int,
                  grant: Message) -> Generator[Event, Any, None]:
         """One granted attempt: report start, work (renewing the lease
-        every ``renew_every``), then write the effect with bounded
+        every ``RENEW_EVERY``), then write the effect with bounded
         retries until some ack arrives.
 
         Stalls are absorbed here: work pauses, renewals stop, and the
         attempt *finishes late* — producing exactly the stale-write or
         late-accept races the log must survive."""
         sim = self.sim
-        cfg = self.config
         inbox = self.inboxes[host]
         job_id, token = grant.job_id, grant.token
         inbox.purge(lambda message: message.kind == "write-ack")
@@ -423,7 +416,7 @@ class JobService:
                                     token=token, sender=host))
         remaining = grant.work
         while remaining > _WORK_EPS:
-            chunk = min(cfg.renew_every, remaining)
+            chunk = min(RENEW_EVERY, remaining)
             chunk_started = sim.now
             try:
                 yield sim.timeout(chunk)
@@ -438,7 +431,7 @@ class JobService:
                 self._post(host, 0, Message(kind="renew", job_id=job_id,
                                             token=token, sender=host))
         value = get_job_kernel(grant.kernel)(grant.payload)
-        for _attempt in range(cfg.write_max_retries + 1):
+        for _attempt in range(WRITE_MAX_RETRIES + 1):
             self._post(host, 0, Message(kind="write", job_id=job_id,
                                         token=token, sender=host,
                                         value=value))
@@ -447,7 +440,7 @@ class JobService:
                     message.kind == "write-ack"
                     and message.job_id == job
                     and message.token == tok))
-            timer = sim.timeout(cfg.write_retry_seconds)
+            timer = sim.timeout(WRITE_RETRY_SECONDS)
             try:
                 yield sim.any_of([got, timer])
             except Interrupt as interrupt:
@@ -472,7 +465,6 @@ class JobService:
         drain the mailbox, consume death declarations, sweep expired
         leases, fail/grant pending jobs, sleep."""
         sim = self.sim
-        cfg = self.config
         log = self.log
         inbox = self.inboxes[0]
         # Recovery: the volatile lease table is rebuilt from the log.
@@ -489,20 +481,18 @@ class JobService:
                     self.leases.drop(lease.job_id)
                     log.expire(now, lease.job_id)
                 yield from self._grant_pass()
-                yield sim.timeout(cfg.tick_interval)
+                yield sim.timeout(TICK_INTERVAL)
         except Interrupt:
             return
 
     def _handle_message(self, message: Message) -> None:
         now = self.sim.now
         log = self.log
-        cfg = self.config
         if message.kind == "start":
             log.mark_running(now, message.job_id, message.token)
         elif message.kind == "renew":
-            if log.renew(now, message.job_id, message.token,
-                         cfg.lease_seconds):
-                self.leases.renew(message.job_id, now + cfg.lease_seconds)
+            if log.renew(now, message.job_id, message.token, LEASE_SECONDS):
+                self.leases.renew(message.job_id, now + LEASE_SECONDS)
         elif message.kind == "write":
             outcome = log.apply_effect(now, message.job_id, message.token,
                                        message.sender, message.value)
@@ -577,13 +567,13 @@ class JobService:
         idle = self._idle_workers()
         for job_id in log.pending():
             row = log.rows[job_id]
-            if row.attempts >= cfg.max_attempts:
+            if row.attempts >= MAX_ATTEMPTS:
                 log.fail(sim.now, job_id, "attempts-exhausted")
                 continue
             if not idle:
                 continue
             worker = idle.pop(0)
-            lease = log.grant(sim.now, job_id, worker, cfg.lease_seconds)
+            lease = log.grant(sim.now, job_id, worker, LEASE_SECONDS)
             self.leases.add(lease)
             if cfg.grant_commit_gap > 0:
                 yield sim.timeout(cfg.grant_commit_gap)
@@ -615,8 +605,7 @@ class JobService:
     def _post_body(self, src: int, dst: int,
                    message: Message) -> Generator[Event, Any, None]:
         try:
-            yield from self.fabric.transfer_ex(src, dst,
-                                               self.config.message_bytes)
+            yield from self.fabric.transfer_ex(src, dst, MESSAGE_BYTES)
         except (TransferDropped, NetworkUnreachable):
             self.messages_lost += 1
             return

@@ -80,6 +80,19 @@ class DeliveryError(RuntimeError):
     """Reliable delivery gave up after exhausting its retry budget."""
 
 
+#: Retransmission ``a`` of a reliable send waits out the ack allowance
+#: plus ``min(BACKOFF_CAP, BACKOFF_BASE * BACKOFF_FACTOR ** (a - 1))``
+#: seconds of backoff, stretched by ``1 + JITTER * U[0, 1)`` when the
+#: world has streams.
+BACKOFF_BASE = 20e-6
+#: Growth of the backoff per retransmission.
+BACKOFF_FACTOR = 2.0
+#: Longest backoff, in seconds.
+BACKOFF_CAP = 50e-3
+#: Jitter fraction of the backoff.
+JITTER = 0.25
+
+
 @dataclass(frozen=True)
 class CommConfig:
     """Fault-tolerance knobs for a :class:`CommWorld`.
@@ -87,48 +100,27 @@ class CommConfig:
     The zero-argument default leaves every new code path disabled, so a
     plain world behaves (and times) exactly as before this machinery
     existed.  ``reliable`` turns sends into retransmit-until-acked
-    delivery; ``fault_aware`` arms failure notices so blocked receives
-    and collectives raise :class:`RankFailure` instead of hanging when
-    a peer dies; ``op_timeout`` bounds blocking operations.
+    delivery (an ack allowance of a few uncontended round trips, then
+    the backoff above); ``fault_aware`` arms failure notices so blocked
+    receives and collectives raise :class:`RankFailure` instead of
+    hanging when a peer dies.
     """
 
     #: Retransmit-until-acknowledged sends (drops/corruption survivable).
     reliable: bool = False
     #: Raise RankFailure from receives/collectives when a peer has died.
     fault_aware: bool = False
-    #: Timeout for blocking ops (seconds of virtual time; None = forever).
-    op_timeout: Optional[float] = None
-    #: Ack round-trip allowance before retransmit (None = adaptive,
-    #: derived from the fabric's uncontended transfer time).
-    ack_timeout: Optional[float] = None
     #: Retransmissions after the first attempt before DeliveryError.
     max_retries: int = 8
-    #: Exponential backoff: sleep min(cap, base * factor**(attempt-1)).
-    backoff_base: float = 20e-6
-    backoff_factor: float = 2.0
-    backoff_cap: float = 50e-3
-    #: Jitter fraction: backoff *= 1 + jitter * U[0,1) (needs streams).
-    jitter: float = 0.25
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_base <= 0 or self.backoff_factor < 1:
-            raise ValueError("backoff_base must be > 0, factor >= 1")
-        if self.backoff_cap < self.backoff_base:
-            raise ValueError("backoff_cap must be >= backoff_base")
-        if not 0 <= self.jitter:
-            raise ValueError("jitter must be >= 0")
-        for name in ("op_timeout", "ack_timeout"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive or None")
 
     @property
     def active(self) -> bool:
         """True when any fault-tolerance machinery is enabled."""
-        return (self.reliable or self.fault_aware
-                or self.op_timeout is not None)
+        return self.reliable or self.fault_aware
 
 
 @dataclass
@@ -214,9 +206,7 @@ class CommWorld:
 
     def ack_timeout_for(self, src_world: int, dst_world: int,
                         nbytes: int) -> float:
-        """Retransmit allowance: configured, or a few uncontended RTTs."""
-        if self.config.ack_timeout is not None:
-            return self.config.ack_timeout
+        """Retransmit allowance: a few uncontended round trips."""
         forward = self.fabric.uncontended_time(src_world, dst_world, nbytes)
         back = self.fabric.uncontended_time(dst_world, src_world,
                                             ENVELOPE_BYTES)
@@ -226,11 +216,10 @@ class CommWorld:
         """Backoff before retransmission ``attempt`` (1-based), with
         jitter from the ``messaging.retry.jitter`` stream when streams
         were provided (bit-reproducible for a fixed seed)."""
-        cfg = self.config
-        backoff = min(cfg.backoff_cap,
-                      cfg.backoff_base * cfg.backoff_factor ** (attempt - 1))
-        if self._jitter_rng is not None and cfg.jitter > 0:
-            backoff *= 1.0 + cfg.jitter * float(self._jitter_rng.random())
+        backoff = min(BACKOFF_CAP,
+                      BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1))
+        if self._jitter_rng is not None:
+            backoff *= 1.0 + JITTER * float(self._jitter_rng.random())
         return backoff
 
 
@@ -504,8 +493,7 @@ class Communicator:
         message is already queued — it was sent before the death and is
         still deliverable); a wildcard receive raises when *any* peer
         has failed, because the dead rank could have been the match.
-        ``timeout`` (or ``CommConfig.op_timeout``) bounds the wait with
-        :class:`CommTimeout`.
+        ``timeout`` bounds the wait with :class:`CommTimeout`.
         """
         if source != ANY_SOURCE:
             self._check_peer(source, "source")
@@ -521,9 +509,8 @@ class Communicator:
                 envelope: Envelope = yield mailbox.get(match)
                 return self._accept(envelope)
             world = self.world
-            op_timeout = timeout if timeout is not None else cfg.op_timeout
-            deadline = (self.sim.now + op_timeout
-                        if op_timeout is not None else None)
+            deadline = (self.sim.now + timeout
+                        if timeout is not None else None)
             while True:
                 if cfg.fault_aware and world.failed:
                     queued = any(match(item) for item in mailbox._items)

@@ -69,7 +69,6 @@ def make_world(size: int, *,
                topology: Optional[Topology] = None,
                sim: Optional[Simulator] = None,
                contention: bool = True,
-               record_transfers: bool = False,
                config: Optional[CommConfig] = None,
                streams: Optional[RandomStreams] = None,
                fault_plan: Optional[FabricFaultPlan] = None,
@@ -99,9 +98,7 @@ def make_world(size: int, *,
         )
     simulator = sim if sim is not None else Simulator(obs=obs)
     fabric = Fabric(simulator, topology, technology,
-                    contention=contention,
-                    record_transfers=record_transfers,
-                    fault_plan=fault_plan)
+                    contention=contention, fault_plan=fault_plan)
     return CommWorld(simulator, fabric, config=config, streams=streams)
 
 
@@ -111,11 +108,6 @@ def run_spmd(size: int,
              technology: Union[str, InterconnectTechnology] = "gigabit_ethernet",
              topology: Optional[Topology] = None,
              contention: bool = True,
-             record_transfers: bool = False,
-             max_events: Optional[int] = None,
-             config: Optional[CommConfig] = None,
-             streams: Optional[RandomStreams] = None,
-             fault_plan: Optional[FabricFaultPlan] = None,
              obs: Optional[Observability] = None) -> SpmdResult:
     """Run ``body(comm, *args)`` as an SPMD program on ``size`` ranks.
 
@@ -124,13 +116,11 @@ def run_spmd(size: int,
     failure as-is, and :class:`SimulationError` on deadlock (event queue
     drained with ranks still blocked).  Pass an
     :class:`~repro.obs.Observability` as ``obs`` to capture spans and
-    metrics for the whole run.
+    metrics for the whole run.  Fault-tolerant messaging and fabric
+    faults need a world from :func:`make_world`.
     """
     world = make_world(size, technology=technology, topology=topology,
-                       contention=contention,
-                       record_transfers=record_transfers,
-                       config=config, streams=streams,
-                       fault_plan=fault_plan, obs=obs)
+                       contention=contention, obs=obs)
     sim = world.sim
 
     finish_times: List[float] = [float("nan")] * size
@@ -147,7 +137,7 @@ def run_spmd(size: int,
         process.defused = True  # failures re-raised below with context
         processes.append(process)
 
-    sim.run(max_events=max_events)
+    sim.run()
 
     # Report a rank failure before any deadlock: a crashed rank is the
     # usual *cause* of the others blocking forever.

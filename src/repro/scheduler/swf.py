@@ -27,7 +27,6 @@ to the actual runtime when absent.
 
 from __future__ import annotations
 
-import io
 from typing import Iterable, List, TextIO, Union
 
 from repro.scheduler.job import Job

@@ -11,7 +11,8 @@ that the scheduling literature standardised on:
   the traces), never exceeding the machine;
 * **runtimes** — lognormal, heavy right tail;
 * **estimates** — actual runtime times a uniform overestimation factor in
-  [1, overestimate_max]; a fraction of users nail the estimate exactly.
+  [1, overestimate_max]; a tenth of users (``EXACT_ESTIMATE_FRACTION``)
+  nail the estimate exactly.
 
 Every distribution draws from its own named stream of a
 :class:`~repro.sim.rng.RandomStreams`, so experiments can vary one aspect
@@ -30,6 +31,9 @@ from repro.sim.rng import RandomStreams
 
 __all__ = ["WorkloadParams", "WorkloadGenerator"]
 
+#: Fraction of users whose estimate equals the actual runtime.
+EXACT_ESTIMATE_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class WorkloadParams:
@@ -47,8 +51,6 @@ class WorkloadParams:
     power_of_two_bias: float = 0.75
     #: Upper bound of the uniform overestimation factor.
     overestimate_max: float = 5.0
-    #: Fraction of users whose estimate equals the actual runtime.
-    exact_estimate_fraction: float = 0.1
 
     def __post_init__(self) -> None:
         if self.max_nodes < 1:
@@ -59,8 +61,6 @@ class WorkloadParams:
             raise ValueError("power_of_two_bias must be in [0, 1]")
         if self.overestimate_max < 1:
             raise ValueError("overestimate_max must be >= 1")
-        if not 0 <= self.exact_estimate_fraction <= 1:
-            raise ValueError("exact_estimate_fraction must be in [0, 1]")
 
     @property
     def mean_runtime(self) -> float:
@@ -103,7 +103,7 @@ class WorkloadGenerator:
         rng = self.streams.get("workload.estimates")
         factors = rng.uniform(1.0, self.params.overestimate_max,
                               size=runtimes.shape)
-        exact = rng.random(runtimes.shape) < self.params.exact_estimate_fraction
+        exact = rng.random(runtimes.shape) < EXACT_ESTIMATE_FRACTION
         return np.where(exact, runtimes, runtimes * factors)
 
     def arrival_rate(self) -> float:

@@ -13,7 +13,7 @@ happened — the strongest external validation available for a vision talk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 

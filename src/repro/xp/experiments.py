@@ -437,6 +437,7 @@ def e23_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     central monitor's home) in both directions — a grey failure routing
     cannot see, so nothing re-routes."""
     from repro.health import DetectionSpec, GossipMonitor, build_monitor
+    from repro.health.monitor import HEARTBEAT_BYTES
     from repro.network import (
         Fabric,
         FabricFaultPlan,
@@ -503,8 +504,7 @@ def e23_run(config: Mapping[str, Any]) -> Dict[str, Any]:
         # The O(n) reality: every delivered heartbeat lands on the
         # monitor host.
         summary["monitor_bytes_per_interval"] = (
-            monitor.heartbeats_delivered * monitor.spec.heartbeat_bytes
-            / intervals)
+            monitor.heartbeats_delivered * HEARTBEAT_BYTES / intervals)
     return summary
 
 

@@ -76,8 +76,6 @@ class TestLayering:
 
     @pytest.mark.parametrize("package_name", sorted(FORBIDDEN))
     def test_no_upward_imports(self, package_name):
-        import sys
-
         package = importlib.import_module(package_name)
         forbidden = self.FORBIDDEN[package_name]
         # Inspect the source of each submodule for forbidden imports

@@ -9,8 +9,6 @@ through all of it.
 
 import math
 
-import pytest
-
 from repro.fault import (
     LinkFaultSpec,
     NodeFaultSpec,

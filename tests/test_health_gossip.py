@@ -25,6 +25,7 @@ from repro.health import (
     NodeHealthState,
     build_monitor,
 )
+from repro.health.gossip import K_INDIRECT
 from repro.network import (
     Fabric,
     FabricFaultPlan,
@@ -122,7 +123,7 @@ class TestCrashLifecycle:
         monitor.crash(5)
         sim.run(until=20 * HB)
         stats = monitor.gossip_stats()
-        assert stats.indirect_probes >= monitor.spec.k_indirect
+        assert stats.indirect_probes >= K_INDIRECT
 
     def test_dead_nodes_stop_being_probed(self):
         """Once the fleet believes 5 is dead, nobody wastes probes on
@@ -276,25 +277,6 @@ class TestFactoryAndSpec:
         with pytest.raises(ValueError, match="gossip"):
             GossipMonitor(sim, fabric, 4,
                           spec=DetectionSpec(detector="phi"))
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            DetectionSpec(detector="gossip", k_indirect=0)
-        with pytest.raises(ValueError):
-            DetectionSpec(detector="gossip", piggyback_limit=0)
-        with pytest.raises(ValueError):
-            DetectionSpec(detector="gossip", retransmit_factor=0.0)
-        with pytest.raises(ValueError):
-            # The probe timeout must leave room for the indirect round.
-            DetectionSpec(detector="gossip", heartbeat_interval=HB,
-                          probe_timeout=2 * HB)
-
-    def test_probe_timeout_defaults_to_a_third_of_the_period(self):
-        spec = DetectionSpec(detector="gossip", heartbeat_interval=HB)
-        assert spec.effective_probe_timeout == pytest.approx(HB / 3)
-        custom = DetectionSpec(detector="gossip", heartbeat_interval=HB,
-                               probe_timeout=HB / 5)
-        assert custom.effective_probe_timeout == pytest.approx(HB / 5)
 
     def test_status_precedence_is_graver_wins(self):
         """Serf precedence: at equal incarnation, DEAD > SUSPECT >

@@ -227,7 +227,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             DetectionSpec(dead_after=-1.0)
         spec = DetectionSpec(heartbeat_interval=2e-4)
-        assert spec.effective_check_interval == pytest.approx(1e-4)
         assert spec.effective_suspect_after == pytest.approx(6e-4)
         assert spec.effective_dead_after == pytest.approx(16e-4)
 

@@ -1,9 +1,10 @@
-"""Campaign spec validation, report plumbing, and the shared fault-plan
-builder."""
+"""Campaign spec validation, report plumbing, the SWF-trace bridge, the
+service's timing relations, and the shared fault-plan builder."""
 
 import pytest
 
 from repro.fault import LinkFaultSpec, build_fault_plan
+from repro.fault.campaign import CAMPAIGN_INTERCONNECT
 from repro.jobs import (
     DuplicateSubmitSpec,
     JobRequest,
@@ -12,9 +13,19 @@ from repro.jobs import (
     SupervisorCrashSpec,
     WorkerCrashSpec,
     WorkerStallSpec,
-    prove_determinism,
+    requests_from_jobs,
     run_jobs_campaign,
 )
+from repro.jobs.service import (
+    LEASE_SECONDS,
+    MESSAGE_BYTES,
+    RENEW_EVERY,
+    TICK_INTERVAL,
+    WRITE_RETRY_SECONDS,
+)
+from repro.network import Fabric, get_interconnect
+from repro.scheduler import Job
+from repro.sim import Simulator
 from repro.sim.rng import RandomStreams
 
 REQS = (JobRequest(tenant="t", key="a"),
@@ -75,11 +86,24 @@ class TestSpecValidation:
             run_jobs_campaign(spec)
 
 
-class TestServiceConfigValidation:
-    def test_lease_must_exceed_renew_interval(self):
-        with pytest.raises(ValueError, match="renew"):
-            ServiceConfig(lease_seconds=1e-3, renew_every=1e-3)
+class TestServiceTiming:
+    def test_timing_keeps_leases_alive_and_writes_unrepeated(self):
+        """A lease outlives a renewal period, so a working worker
+        renews before its lease expires; and a write waits out a
+        supervisor tick plus a round trip on the campaign fabric before
+        it is resent, so an answered write is not sent twice."""
+        assert LEASE_SECONDS > RENEW_EVERY
+        spec = JobsCampaignSpec(requests=REQS)
+        fabric = Fabric(Simulator(), spec.topology(),
+                        get_interconnect(CAMPAIGN_INTERCONNECT))
+        round_trip = max(
+            fabric.uncontended_time(worker, 0, MESSAGE_BYTES)
+            + fabric.uncontended_time(0, worker, MESSAGE_BYTES)
+            for worker in range(1, spec.service.total_hosts))
+        assert WRITE_RETRY_SECONDS > TICK_INTERVAL + round_trip
 
+
+class TestServiceConfigValidation:
     def test_monitor_must_live_on_supervisor_host(self):
         from repro.health import DetectionSpec
         with pytest.raises(ValueError, match="monitor host"):
@@ -100,14 +124,13 @@ class TestWithoutFaults:
             supervisor_crashes=(SupervisorCrashSpec(time=1e-3,
                                                     restart_after=1e-3),),
             duplicate_submits=(DuplicateSubmitSpec(time=0.0, index=0),),
-            drop_probability=0.1, corrupt_probability=0.1)
+            drop_probability=0.1)
         clean = spec.without_faults()
         assert clean.worker_crashes == ()
         assert clean.worker_stalls == ()
         assert clean.supervisor_crashes == ()
         assert clean.link_faults == ()
         assert clean.drop_probability == 0.0
-        assert clean.corrupt_probability == 0.0
         # Duplicates are client behavior, not faults: they stay.
         assert clean.duplicate_submits == spec.duplicate_submits
         assert clean.name == "noisy-clean"
@@ -151,17 +174,24 @@ class TestFaultPlanBuilder:
         assert plan is not None
 
 
-class TestDeterminismProof:
-    def test_needs_two_runs(self):
-        spec = JobsCampaignSpec(requests=REQS)
-        with pytest.raises(ValueError, match="two runs"):
-            prove_determinism(spec, runs=1)
-
-    def test_proof_over_three_runs(self):
-        spec = JobsCampaignSpec(requests=REQS, horizon=0.1)
-        proof = prove_determinism(spec, runs=3)
-        assert proof.identical
-        assert len(proof.reports) == 3
+class TestRequestsFromJobs:
+    def test_trace_jobs_become_digest_requests_at_trace_times(self):
+        """One ``swf`` tenant request per trace job, keyed by the job
+        id, with the trace shape as payload and the job's own work and
+        submit times (callers scale the trace first)."""
+        trace = (Job(job_id=3, submit_time=120.0, nodes=8,
+                     runtime=3600.0, estimate=7200.0),
+                 Job(job_id=11, submit_time=125.5, nodes=1,
+                     runtime=42.0, estimate=60.0))
+        first, second = requests_from_jobs(trace)
+        assert (first.tenant, first.key, first.kernel) == (
+            "swf", "swf-3", "digest")
+        assert first.payload == (("job", 3), ("nodes", 8))
+        assert (first.work_seconds, first.submit_time) == (3600.0, 120.0)
+        assert (second.tenant, second.key, second.kernel) == (
+            "swf", "swf-11", "digest")
+        assert second.payload == (("job", 11), ("nodes", 1))
+        assert (second.work_seconds, second.submit_time) == (42.0, 125.5)
 
 
 class TestReport:

@@ -2,7 +2,6 @@
 corruption fallback, byte-identical findings, and the warm-tree speedup."""
 
 import json
-import textwrap
 import time
 from pathlib import Path
 

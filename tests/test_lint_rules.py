@@ -3,7 +3,6 @@ fixture per rule, suppression comments, and the baseline round trip."""
 
 import json
 import textwrap
-from pathlib import Path
 
 import pytest
 

@@ -9,11 +9,10 @@ on.
 """
 
 import numpy as np
-import pytest
 
 from repro.fault import ExponentialFailures, FaultInjector
 from repro.messaging import SUM, make_world
-from repro.sim import Interrupt, RandomStreams
+from repro.sim import Interrupt
 
 
 def spawn_ranks(world, body):

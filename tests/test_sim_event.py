@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, EventStatus, Simulator, Timeout
+from repro.sim import AllOf, AnyOf, EventStatus, Simulator, Timeout
 from repro.sim.engine import SimulationError
 
 

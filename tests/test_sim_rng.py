@@ -1,7 +1,6 @@
 """RandomStreams: reproducibility and independence."""
 
 import numpy as np
-import pytest
 
 from repro.sim import RandomStreams
 

@@ -1,11 +1,8 @@
 """Unit parsing/formatting round trips and growth-rate identities."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
-from repro import units
 from repro.units import (
     UnitError,
     cagr_from_doubling_time,
