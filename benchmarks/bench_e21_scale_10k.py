@@ -1,7 +1,7 @@
 """E21 at fleet scale: detection-driven health monitoring of 10^4 nodes.
 
-ROADMAP item 1 asks the detection experiments to reach the paper's
-cluster sizes instead of toy 4-rank worlds.  This bench runs the
+The detection experiments must reach the paper's cluster sizes
+instead of toy 4-rank worlds.  This bench runs the
 E21-style health campaign — heartbeats through a real fat-tree fabric,
 fixed-timeout detector, mid-run crashes — over **10,000 nodes**, with
 the slot driver set two ways:

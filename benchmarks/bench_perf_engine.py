@@ -38,7 +38,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.health import DetectionSpec, HeartbeatMonitor
 from repro.messaging import SUM, run_spmd
+from repro.network import Fabric, FatTreeTopology, get_interconnect
 from repro.obs import NULL_SPAN, NullObservability
 from repro.scheduler import BatchSimulator, WorkloadGenerator, WorkloadParams, get_policy
 from repro.sim import RandomStreams, Simulator, Store
@@ -291,23 +293,44 @@ def test_perf_allreduce_32(benchmark):
     benchmark(collectives)
 
 
+def _site(frame):
+    """``module.function`` of the code running in ``frame``."""
+    return f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"
+
+
+#: Where the fabric reads the flag: once per transfer, at the first
+#: step of the transfer object both of its drivers share.
+_FABRIC_FLAG_SITE = "repro.network.fabric._begin"
+
+
 class _CountingNull(NullObservability):
     """Null observability that counts every disabled-path touch, each
-    ``enabled`` read under the name of the function that made it."""
+    ``enabled`` read and ``span()`` call under the ``module.function``
+    that made it."""
 
     def __init__(self):
         super().__init__()
         self.guard_reads = Counter()
+        self.span_sites = Counter()
         self.span_calls = 0
 
     @property
     def enabled(self):
-        self.guard_reads[sys._getframe(1).f_code.co_name] += 1
+        self.guard_reads[_site(sys._getframe(1))] += 1
         return False
 
     def span(self, name, track=None, **attrs):
         self.span_calls += 1
+        self.span_sites[_site(sys._getframe(1))] += 1
         return NULL_SPAN
+
+    def fabric_touches(self):
+        """``(flag reads, span() calls)`` made by the fabric module."""
+        prefix = "repro.network.fabric."
+        return (sum(count for site, count in self.guard_reads.items()
+                    if site.startswith(prefix)),
+                sum(count for site, count in self.span_sites.items()
+                    if site.startswith(prefix)))
 
 
 def _microbench(body, reps=20_000, rounds=5):
@@ -340,14 +363,15 @@ def test_perf_null_obs_overhead_budget():
     Every instrumentation site leaves one of four things on the
     disabled path: an ``obs.enabled`` guard read at a comm-style site
     (pricing includes the null-span ``set``/``with`` it still
-    executes), a bare read in ``Fabric.transfer_ex`` (which builds no
-    span at all when the flag is off), a no-op ``span()`` call, or an
+    executes), a bare read at the fabric's transfer object (which builds
+    no span at all when the flag is off), a no-op ``span()`` call, or an
     engine flag check.  Count each through the full messaging stack,
     attributing every read to the function that made it, price one of
     each on the real null objects, and check that the sum fits the 3%
     budget.  This is what fails if someone puts real work (attr-dict
     building, string formatting, a null span per transfer) ahead of a
-    guard.
+    guard.  The fabric's own touches are counted exactly: one flag
+    read per transfer and no ``span()`` call.
     """
     # Wall time of the workload itself, best of three.
     workload = min(_timed_run() for _ in range(3))
@@ -356,6 +380,8 @@ def test_perf_null_obs_overhead_budget():
     result = run_spmd(2, _pingpong_body, technology="infiniband_4x",
                       obs=counter)
     assert result.transfer_count == 1_000
+    assert counter.fabric_touches() == (1_000, 0)
+    assert counter.guard_reads[_FABRIC_FLAG_SITE] == 1_000
     # The plain-mode fast loop makes zero per-event observability
     # checks; what remains is the `_plain` test in `Simulator.timeout`
     # and the queue-kind branch in `_schedule_event`.  Price a
@@ -363,9 +389,9 @@ def test_perf_null_obs_overhead_budget():
     # per process so this budget also covers the instrumented loop.
     engine_checks = 3 * 1_000 + 2
 
-    # Fabric.transfer_ex reads the flag once per transfer and guards
-    # nothing behind it; every other read guards a comm-style site.
-    bare_reads = counter.guard_reads["transfer_ex"]
+    # The fabric reads the flag once per transfer and guards nothing
+    # behind it; every other read guards a comm-style site.
+    bare_reads = counter.guard_reads[_FABRIC_FLAG_SITE]
     guarded_reads = sum(counter.guard_reads.values()) - bare_reads
 
     obs = NullObservability()
@@ -410,6 +436,27 @@ def test_perf_null_obs_overhead_budget():
         f"{engine_checks} flag checks = {overhead * 1e3:.2f} ms vs 3% "
         f"of {workload * 1e3:.2f} ms workload"
     )
+
+
+def test_null_obs_heartbeats_touch_the_fabric_once_per_transfer():
+    """Heartbeats run through ``Fabric.send``, the callback driver, and
+    with observability off make the pingpong's counts: one fabric flag
+    read per transfer begun, and no ``span()`` call."""
+    counter = _CountingNull()
+    sim = Simulator(obs=counter)
+    fabric = Fabric(sim, FatTreeTopology(64),
+                    get_interconnect("infiniband_4x"))
+    monitor = HeartbeatMonitor(sim, fabric, 64,
+                               DetectionSpec(heartbeat_interval=1e-4))
+    monitor.start()
+    sim.run(until=2e-3)
+    # Heartbeats queue on the monitor host's link, so some are still in
+    # flight at the end; every one sent has begun its transfer.
+    assert monitor.heartbeats_sent > 1_000
+    assert 0 < fabric.transfer_count < monitor.heartbeats_sent
+    assert counter.fabric_touches() == (monitor.heartbeats_sent, 0)
+    assert (counter.guard_reads[_FABRIC_FLAG_SITE]
+            == monitor.heartbeats_sent)
 
 
 def _timed_run():

@@ -11,7 +11,7 @@ the example reports time-to-solution per dollar.
 Usage: ``python examples/interconnect_shootout.py``
 """
 
-from repro import get_interconnect, get_scenario
+from repro import get_interconnect
 from repro.analysis import Table
 from repro.apps import ComputeCharge, run_cg, run_fft2d, run_stencil
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.analysis import Table
 from repro.analysis.scaling import (
-    amdahl_speedup,
     fit_serial_fraction,
     gustafson_speedup,
     isoefficiency_problem_size,

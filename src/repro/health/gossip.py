@@ -77,13 +77,9 @@ from repro.health.monitor import (
     MembershipMonitor,
 )
 from repro.health.state import HealthEvent, NodeHealthState
-from repro.network.fabric import (
-    Fabric,
-    NetworkUnreachable,
-    TransferDropped,
-)
+from repro.network.fabric import Fabric
 from repro.obs import Observability
-from repro.sim.engine import Interrupt, Simulator
+from repro.sim.engine import Interrupt, Simulator, Task
 from repro.sim.event import Event
 from repro.sim.rng import RandomStreams
 
@@ -300,8 +296,7 @@ class GossipMonitor(MembershipMonitor):
         if target is None:
             return
         self.probes += 1
-        self.sim.process(self._probe_body(node, target),
-                         name=f"gs.probe{node}")
+        _ProbeRound(self, node, target)
 
     # -- target selection --------------------------------------------------
 
@@ -374,103 +369,6 @@ class GossipMonitor(MembershipMonitor):
                 continue
             chosen.append(relay)
         return chosen
-
-    # -- the probe round ---------------------------------------------------
-
-    def _probe_body(self, node: int,
-                    target: int) -> Generator[Event, Any, None]:
-        """Process body: one full SWIM probe round (direct ping, then k
-        indirect relays, then the suspicion verdict at period end).  The
-        direct ack gets a third of the period, the relays the rest."""
-        spec = self.spec
-        direct_deadline = spec.heartbeat_interval / 3.0
-        state: Dict[str, bool] = {"acked": False}
-        self.sim.process(self._direct_leg(node, target, state),
-                         name=f"gs.ping{node}")
-        yield self.sim.timeout(direct_deadline)
-        if state["acked"] or node in self._crashed:
-            return
-        for relay in self._pick_relays(node, target):
-            self.indirect_probes += 1
-            self.sim.process(self._indirect_leg(node, relay, target, state),
-                             name=f"gs.req{node}")
-        yield self.sim.timeout(
-            max(spec.heartbeat_interval - direct_deadline, 0.0))
-        if state["acked"] or node in self._crashed:
-            return
-        self.probe_timeouts += 1
-        self._suspect(node, target)
-
-    def _transmit(self, src: int, dst: int,
-                  updates: int) -> Generator[Event, Any, bool]:
-        """Process body fragment: one protocol message on the fabric.
-
-        Returns True when the last byte reached ``dst``; loss and
-        unreachability are swallowed into the counters exactly like
-        lost heartbeats (the protocol's whole job is surviving them).
-        """
-        nbytes = HEARTBEAT_BYTES + updates * BYTES_PER_UPDATE
-        self.heartbeats_sent += 1
-        self.bytes_sent_by[src] += nbytes
-        try:
-            yield from self.fabric.transfer_ex(src, dst, nbytes)
-        except (TransferDropped, NetworkUnreachable):
-            self.heartbeats_lost += 1
-            return False
-        self.heartbeats_delivered += 1
-        self.bytes_received_by[dst] += nbytes
-        return True
-
-    def _direct_leg(self, node: int, target: int,
-                    state: Dict[str, bool]) -> Generator[Event, Any, None]:
-        """Process body: ping ``node`` -> ``target``, ack back, both
-        carrying piggybacked updates."""
-        updates = self._select_updates(node)
-        delivered = yield from self._transmit(node, target, len(updates))
-        if not delivered or target in self._crashed:
-            return
-        self._deliver(target, updates)
-        ack = self._select_updates(target)
-        delivered = yield from self._transmit(target, node, len(ack))
-        if not delivered or node in self._crashed:
-            return
-        self._deliver(node, ack)
-        # A completed round trip is first-hand proof of life at the
-        # target's current incarnation (implicit in every real ack).
-        self._apply_update(node, target, GossipStatus.ALIVE,
-                           self._incarnation[target])
-        state["acked"] = True
-
-    def _indirect_leg(self, node: int, relay: int, target: int,
-                      state: Dict[str, bool]
-                      ) -> Generator[Event, Any, None]:
-        """Process body: the four-hop ping-req chain
-        ``node -> relay -> target -> relay -> node``, each hop carrying
-        the sender's piggyback — per-link routing diversity for the
-        probe verdict."""
-        updates = self._select_updates(node)
-        delivered = yield from self._transmit(node, relay, len(updates))
-        if not delivered or relay in self._crashed:
-            return
-        self._deliver(relay, updates)
-        updates = self._select_updates(relay)
-        delivered = yield from self._transmit(relay, target, len(updates))
-        if not delivered or target in self._crashed:
-            return
-        self._deliver(target, updates)
-        updates = self._select_updates(target)
-        delivered = yield from self._transmit(target, relay, len(updates))
-        if not delivered or relay in self._crashed:
-            return
-        self._deliver(relay, updates)
-        updates = self._select_updates(relay)
-        delivered = yield from self._transmit(relay, node, len(updates))
-        if not delivered or node in self._crashed:
-            return
-        self._deliver(node, updates)
-        self._apply_update(node, target, GossipStatus.ALIVE,
-                           self._incarnation[target])
-        state["acked"] = True
 
     # -- update plumbing ---------------------------------------------------
 
@@ -618,6 +516,111 @@ class GossipMonitor(MembershipMonitor):
             self._transition(subject, NodeHealthState.DEAD,
                              f"gossip-dead-by-{origin}")
             self._declare_death(subject, self.sim.now)
+
+
+class _ProbeRound(Task):
+    """One full SWIM probe round of ``node`` against ``target``: the
+    direct ping, then k indirect relays, then the suspicion verdict at
+    period end.  The direct ack gets a third of the period, the relays
+    the rest.  Nothing waits on the round or its legs: a leg that gets
+    through sets :attr:`acked`, and the round reads it at each
+    deadline."""
+
+    __slots__ = ("monitor", "node", "target", "acked")
+
+    def __init__(self, monitor: GossipMonitor, node: int,
+                 target: int) -> None:
+        self.monitor = monitor
+        self.node = node
+        self.target = target
+        self.acked = False
+        super().__init__(monitor.sim, f"gs.probe{node}")
+
+    def run(self) -> None:
+        """Send the direct ping and start the direct deadline."""
+        node = self.node
+        _Leg(self, (node, self.target, node), f"gs.ping{node}")
+        self.sim.timeout(self.monitor.spec.heartbeat_interval / 3.0
+                         ).add_callback(self._direct_deadline)
+
+    def _direct_deadline(self, _event: Event) -> None:
+        self.enter()
+        monitor = self.monitor
+        node = self.node
+        if self.acked or node in monitor._crashed:
+            return
+        for relay in monitor._pick_relays(node, self.target):
+            monitor.indirect_probes += 1
+            _Leg(self, (node, relay, self.target, relay, node),
+                 f"gs.req{node}")
+        interval = monitor.spec.heartbeat_interval
+        self.sim.timeout(max(interval - interval / 3.0, 0.0)
+                         ).add_callback(self._round_deadline)
+
+    def _round_deadline(self, _event: Event) -> None:
+        self.enter()
+        monitor = self.monitor
+        if self.acked or self.node in monitor._crashed:
+            return
+        monitor.probe_timeouts += 1
+        monitor._suspect(self.node, self.target)
+
+
+class _Leg(Task):
+    """One leg of a probe round: protocol messages along ``path``, each
+    carrying its sender's piggyback.  That is the ping and its ack
+    ``node -> target -> node``, or the ping-req chain ``node -> relay ->
+    target -> relay -> node`` that buys per-link routing diversity.
+
+    Loss and unreachability are swallowed into the counters exactly
+    like lost heartbeats (the protocol's whole job is surviving them),
+    and a message to a crashed node ends the leg.  A completed leg is
+    first-hand proof of life at the target's current incarnation
+    (implicit in every real ack)."""
+
+    __slots__ = ("probe", "path", "hop", "updates", "nbytes")
+
+    def __init__(self, probe: _ProbeRound, path: Tuple[int, ...],
+                 name: str) -> None:
+        self.probe = probe
+        self.path = path
+        self.hop = 0
+        super().__init__(probe.sim, name)
+
+    def run(self) -> None:
+        """Send the leg's first message."""
+        self._transmit()
+
+    def _transmit(self) -> None:
+        monitor = self.probe.monitor
+        src = self.path[self.hop]
+        self.updates = monitor._select_updates(src)
+        nbytes = HEARTBEAT_BYTES + len(self.updates) * BYTES_PER_UPDATE
+        self.nbytes = nbytes
+        monitor.heartbeats_sent += 1
+        monitor.bytes_sent_by[src] += nbytes
+        monitor.fabric.send(src, self.path[self.hop + 1], nbytes,
+                            self._arrived, self.name)
+
+    def _arrived(self, result: Any) -> None:
+        monitor = self.probe.monitor
+        if isinstance(result, Exception):
+            monitor.heartbeats_lost += 1
+            return
+        monitor.heartbeats_delivered += 1
+        self.hop += 1
+        dst = self.path[self.hop]
+        monitor.bytes_received_by[dst] += self.nbytes
+        if dst in monitor._crashed:
+            return
+        monitor._deliver(dst, self.updates)
+        if self.hop + 1 < len(self.path):
+            self._transmit()
+            return
+        probe = self.probe
+        monitor._apply_update(probe.node, probe.target, GossipStatus.ALIVE,
+                              monitor._incarnation[probe.target])
+        probe.acked = True
 
 
 def build_monitor(sim: Simulator, fabric: Fabric, nodes: int,

@@ -6,7 +6,10 @@ same :class:`~repro.network.fabric.Fabric` the application uses, so link
 outages, congestion, drops, and partitions delay or lose heartbeats
 exactly as they would real ones.  One slot-driver process schedules the
 whole fleet's beats (the same driver runs gossip's probe rounds, see
-:class:`MembershipMonitor`).  A periodic checker polls the pluggable
+:class:`MembershipMonitor`).  A beat is not a process: it is a
+:class:`~repro.sim.engine.Task` that hands its transfer to
+:meth:`~repro.network.fabric.Fabric.send`, so it costs one start event
+and no end event.  A periodic checker polls the pluggable
 :class:`~repro.health.detectors.FailureDetector` and drives the
 :class:`~repro.health.state.Membership` state machine: silence earns
 ``SUSPECTED``, prolonged silence ``DEAD``, resumed heartbeats refute a
@@ -37,13 +40,9 @@ from repro.health.detectors import (
     Verdict,
 )
 from repro.health.state import HealthEvent, Membership, NodeHealthState
-from repro.network.fabric import (
-    Fabric,
-    NetworkUnreachable,
-    TransferDropped,
-)
+from repro.network.fabric import Fabric
 from repro.obs import Observability
-from repro.sim.engine import Interrupt, Process, Simulator
+from repro.sim.engine import Interrupt, Process, Simulator, Task
 from repro.sim.event import Event
 
 __all__ = [
@@ -479,22 +478,7 @@ class HeartbeatMonitor(MembershipMonitor):
     def _tick(self, node: int) -> None:
         """Slot-driver hook: emit one heartbeat from ``node``."""
         self.heartbeats_sent += 1
-        self.sim.process(self._beat_body(node), name=f"hb{node}")
-
-    def _beat_body(self, node: int) -> Generator[Event, Any, None]:
-        """Process body: one heartbeat transfer node -> monitor host.
-
-        Spawned detached so a crash mid-flight cannot leak fabric
-        resources (the in-flight packet completes or is lost on its
-        own, exactly like application traffic)."""
-        try:
-            yield from self.fabric.transfer_ex(node, self.spec.monitor_host,
-                                               HEARTBEAT_BYTES)
-        except (TransferDropped, NetworkUnreachable):
-            self.heartbeats_lost += 1
-            return
-        self.heartbeats_delivered += 1
-        self.detector.observe(node, self.sim.now)
+        _Heartbeat(self, node)
 
     def _check_body(self) -> Generator[Event, Any, None]:
         """Process body: poll the detector and drive the state machine
@@ -530,3 +514,32 @@ class HeartbeatMonitor(MembershipMonitor):
         if verdict is Verdict.DEAD:
             self._transition(node, NodeHealthState.DEAD, "silence-confirmed")
             self._declare_death(node, now)
+
+
+class _Heartbeat(Task):
+    """One heartbeat transfer, ``node`` -> the monitor host.
+
+    Detached, so a crash mid-flight cannot leak fabric resources: the
+    in-flight packet completes or is lost on its own, exactly like
+    application traffic."""
+
+    __slots__ = ("monitor", "node")
+
+    def __init__(self, monitor: HeartbeatMonitor, node: int) -> None:
+        self.monitor = monitor
+        self.node = node
+        super().__init__(monitor.sim, f"hb{node}")
+
+    def run(self) -> None:
+        """Put the heartbeat on the fabric."""
+        monitor = self.monitor
+        monitor.fabric.send(self.node, monitor.spec.monitor_host,
+                            HEARTBEAT_BYTES, self._arrived, self.name)
+
+    def _arrived(self, result: Any) -> None:
+        monitor = self.monitor
+        if isinstance(result, Exception):
+            monitor.heartbeats_lost += 1
+            return
+        monitor.heartbeats_delivered += 1
+        monitor.detector.observe(self.node, monitor.sim.now)

@@ -4,7 +4,7 @@ Topology: the **supervisor** (plus the durable :class:`~repro.jobs.log.
 JobLog`) lives on fabric host 0; **workers** occupy hosts ``1..W`` and
 **spares** the hosts after them.  Every message — grant, start report,
 lease renewal, effect write, write ack — is a real
-:meth:`~repro.network.fabric.Fabric.transfer_ex` into the destination
+:meth:`~repro.network.fabric.Fabric.send` into the destination
 host's mailbox, so partitions, drops, and congestion delay or lose
 control traffic exactly as they would in production.  A
 :class:`~repro.health.monitor.HeartbeatMonitor` (host 0 is the monitor
@@ -60,13 +60,9 @@ from repro.health.monitor import (
 from repro.jobs.lease import LeaseTable
 from repro.jobs.log import JobLog
 from repro.jobs.state import JobRequest
-from repro.network.fabric import (
-    Fabric,
-    NetworkUnreachable,
-    TransferDropped,
-)
+from repro.network.fabric import Fabric
 from repro.obs import Observability
-from repro.sim.engine import Interrupt, Process, Simulator
+from repro.sim.engine import Interrupt, Process, Simulator, Task
 from repro.sim.event import Event
 from repro.sim.resources import Store
 from repro.sim.rng import RandomStreams
@@ -595,22 +591,13 @@ class JobService:
     # -- messaging ---------------------------------------------------------
 
     def _post(self, src: int, dst: int, message: Message) -> None:
-        """Fire-and-forget one message transfer (loss is the retry
-        loops' problem, exactly as on a real network)."""
+        """Fire-and-forget one message transfer into ``dst``'s mailbox
+        (loss is the retry loops' problem, exactly as on a real
+        network).  The message is a :class:`_Post` task, not a process:
+        nothing waits on it."""
         self._msg_seq += 1
         self.messages_sent += 1
-        self.sim.process(self._post_body(src, dst, message),
-                         name=f"jobs.msg{self._msg_seq}")
-
-    def _post_body(self, src: int, dst: int,
-                   message: Message) -> Generator[Event, Any, None]:
-        try:
-            yield from self.fabric.transfer_ex(src, dst, MESSAGE_BYTES)
-        except (TransferDropped, NetworkUnreachable):
-            self.messages_lost += 1
-            return
-        self.inboxes[dst].put(message)
-        self.messages_delivered += 1
+        _Post(self, src, dst, message, f"jobs.msg{self._msg_seq}")
 
     # -- metrics -----------------------------------------------------------
 
@@ -646,3 +633,31 @@ class JobService:
             obs.metrics.gauge("jobs.fencing_rejections",
                               kind=kind).set(float(count))
         self.monitor.publish(obs)
+
+
+class _Post(Task):
+    """One service message on the fabric, delivered into the
+    destination host's mailbox unless the fabric loses it."""
+
+    __slots__ = ("service", "src", "dst", "message")
+
+    def __init__(self, service: JobService, src: int, dst: int,
+                 message: Message, name: str) -> None:
+        self.service = service
+        self.src = src
+        self.dst = dst
+        self.message = message
+        super().__init__(service.sim, name)
+
+    def run(self) -> None:
+        """Put the message on the fabric."""
+        self.service.fabric.send(self.src, self.dst, MESSAGE_BYTES,
+                                 self._arrived, self.name)
+
+    def _arrived(self, result: Any) -> None:
+        service = self.service
+        if isinstance(result, Exception):
+            service.messages_lost += 1
+            return
+        service.inboxes[self.dst].put(self.message)
+        service.messages_delivered += 1

@@ -1,10 +1,12 @@
 """The simulated transport: moves bytes between hosts in virtual time.
 
 A :class:`Fabric` binds a topology to an interconnect technology inside a
-simulator.  :meth:`Fabric.transfer_ex` is its one transfer entry point: a
-*process body* (generator) that returns a :class:`TransferOutcome`.  The
-messaging layer, the failure detectors, the jobs service and the
-parallel file system delegate to it with ``yield from``.
+simulator.  One transfer object runs the cost model below step by step,
+and two drivers share it, making the same requests in the same order at
+the same instants: :meth:`Fabric.transfer_ex`, a *process body* that the
+messaging layer and the parallel file system ``yield from``, and
+:meth:`Fabric.send`, which runs it from event callbacks for the
+fire-and-forget messages of the failure detectors and the jobs service.
 
 Cost model for one ``n``-byte transfer along a ``h``-hop route::
 
@@ -42,10 +44,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Generator,
     List,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -53,7 +57,9 @@ from typing import (
 
 from repro.network.technologies import InterconnectTechnology
 from repro.network.topology import Edge, Node, Topology, canonical_link
+from repro.obs import DEFAULT_TRACK
 from repro.sim.engine import Simulator
+from repro.sim.event import Event
 from repro.sim.resources import Resource
 
 __all__ = [
@@ -95,9 +101,12 @@ class TransferRecord:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class TransferOutcome:
-    """Result of a fault-aware transfer that reached the destination."""
+class TransferOutcome(NamedTuple):
+    """Result of a fault-aware transfer that reached the destination.
+
+    An immutable record, as a named tuple: every transfer builds one,
+    and a named tuple costs about half what a frozen dataclass does to
+    build."""
 
     end: float
     hops: int
@@ -306,7 +315,7 @@ class Fabric:
             self._nics[host] = resource
         return resource
 
-    # -- the transfer process ---------------------------------------------
+    # -- the two transfer drivers -----------------------------------------
 
     def transfer_ex(self, src: int, dst: int,
                     nbytes: int) -> Generator[Any, Any, "TransferOutcome"]:
@@ -324,145 +333,33 @@ class Fabric:
         corruption in the returned :class:`TransferOutcome` — the
         end-to-end check is the caller's job, as on a real wire.
         """
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        if not 0 <= src < self.topology.hosts:
-            raise IndexError(f"src {src} out of range")
-        if not 0 <= dst < self.topology.hosts:
-            raise IndexError(f"dst {dst} out of range")
-        sim = self.sim
-        start = sim.now
-        params = self.technology.loggp
-        plan = self.fault_plan
-        obs = sim.obs
-        # One read of the flag per transfer: with observability off no
-        # span is built, not even the null one, and _finish reuses it.
-        traced = obs.enabled
-        span = (obs.span("fabric.transfer", src=src, dst=dst, nbytes=nbytes)
-                if traced else None)
-        status = "error"
+        transfer = _Transfer(self, src, dst, nbytes)
         try:
-            if src == dst:
-                # Intra-host handoff: CPU overhead plus a memcpy.
-                yield sim.timeout(params.overhead
-                                  + nbytes / _LOCAL_COPY_BANDWIDTH)
-                self._finish(src, dst, nbytes, start, 0, traced)
-                status = "ok"
-                return TransferOutcome(end=sim.now, hops=0,
-                                       corrupted=False, rerouted=False)
-
-            if (self.technology.is_circuit_switched
-                    and (src, dst) not in self._circuits):
-                # First use of this pair: optics must set up the circuit.
-                yield sim.timeout(self.technology.circuit_setup_seconds)
-                self._circuits.add((src, dst))
-
-            # Sender-side CPU overhead, then pick the route against the
-            # fault state at injection time.
-            yield sim.timeout(params.overhead)
-            route = self.topology.route(src, dst)
-            rerouted = False
-            # Only link and node windows block routes or cut messages in
-            # flight; a plan without them skips both queries.
-            outages = plan is not None and plan.has_outages
-            if outages:
-                down_nodes = plan.down_nodes_at(sim.now)
-                down_links = plan.down_links_at(sim.now)
-                if down_nodes or down_links:
-                    if self._blocked(route, down_nodes, down_links):
-                        degraded = self.topology.route_avoiding(
-                            src, dst, down_nodes, down_links)
-                        if degraded is None:
-                            plan.unreachable += 1
-                            obs.instant("fabric.unreachable", src=src,
-                                        dst=dst)
-                            obs.metrics.counter("fabric.unreachable").inc()
-                            raise NetworkUnreachable(
-                                f"no route {src}->{dst} avoids "
-                                f"{len(down_nodes)} down node(s) and "
-                                f"{len(down_links)} down link(s)"
-                            )
-                        route = degraded
-                        rerouted = True
-                        plan.reroutes += 1
-                        obs.instant("fabric.reroute", src=src, dst=dst)
-                        obs.metrics.counter("fabric.reroutes").inc()
-
-            hops = len(route)
-            serialization = max(params.gap, nbytes * params.gap_per_byte)
-            propagation = (params.latency
-                           + max(0, hops - 1) * self.technology.hop_latency)
-
-            depart = sim.now
-            if self.contention:
-                held = self._acquire_order(src, route)
-                for resource in held:
-                    yield resource.request()
-                yield sim.timeout(serialization)
-                for resource in held:
-                    resource.release()
-            else:
-                yield sim.timeout(serialization)
-
-            corrupted = False
-            if plan is not None:
-                if outages:
-                    links = set()
-                    nodes = set()
-                    for a, b in route:
-                        links.add(canonical_link(a, b))
-                        nodes.add(a)
-                        nodes.add(b)
-                    if plan.route_hit_during(links, nodes, depart, sim.now):
-                        plan.drops += 1
-                        obs.instant("fabric.drop", src=src, dst=dst,
-                                    cause="down_window")
-                        obs.metrics.counter("fabric.drops").inc()
-                        raise TransferDropped(
-                            f"transfer {src}->{dst} lost: route element "
-                            f"went down in flight at t<={sim.now:g}"
-                        )
-                if (plan.has_directed_faults
-                        and plan.directed_hit_during(route, depart,
-                                                     sim.now)):
-                    # Grey failure: the oriented hop eats the message.
-                    # Deliberately no reroute — nothing reported the
-                    # loss, so the routing layer has nothing to avoid.
-                    plan.drops += 1
-                    plan.blackholes += 1
-                    obs.instant("fabric.drop", src=src, dst=dst,
-                                cause="blackhole")
-                    obs.metrics.counter("fabric.drops").inc()
-                    raise TransferDropped(
-                        f"transfer {src}->{dst} lost: one-way blackhole "
-                        f"on the route at t<={sim.now:g}"
-                    )
-                if plan.has_random_faults:
-                    draw = plan.rng.random()
-                    if draw < plan.drop_probability:
-                        plan.drops += 1
-                        obs.instant("fabric.drop", src=src, dst=dst,
-                                    cause="random")
-                        obs.metrics.counter("fabric.drops").inc()
-                        raise TransferDropped(
-                            f"transfer {src}->{dst} randomly dropped"
-                        )
-                    if draw < (plan.drop_probability
-                               + plan.corrupt_probability):
-                        plan.corruptions += 1
-                        obs.instant("fabric.corrupt", src=src, dst=dst)
-                        obs.metrics.counter("fabric.corruptions").inc()
-                        corrupted = True
-
-            # Pipeline latency plus receiver overhead.
-            yield sim.timeout(propagation + params.overhead)
-            self._finish(src, dst, nbytes, start, hops, traced)
-            status = "ok"
-            return TransferOutcome(end=sim.now, hops=hops,
-                                   corrupted=corrupted, rerouted=rerouted)
+            event = transfer.step(transfer)
+            while event is not None:
+                yield event
+                event = transfer.step(transfer)
         finally:
-            if span is not None:
-                span.close(status)
+            # Only an exception thrown in at a yield (an interrupt, or
+            # close()) gets here with the span still open.
+            transfer.close_span("error")
+        return transfer.outcome
+
+    def send(self, src: int, dst: int, nbytes: int,
+             done: Callable[[Any], None], name: str) -> None:
+        """Callback form of :meth:`transfer_ex`: start the transfer now,
+        with no process.
+
+        Where the generator would return or raise, ``done`` is called
+        instead, at that instant, with the :class:`TransferOutcome` or
+        the :class:`TransferDropped` or :class:`NetworkUnreachable`.
+        ``name`` (the sending :class:`~repro.sim.engine.Task`'s) is what
+        DetSan calls the transfer's events.  An invalid host or size
+        raises here.
+        """
+        transfer = _Transfer(self, src, dst, nbytes, name)
+        transfer.done = done
+        transfer._resume(None)
 
     @staticmethod
     def _blocked(route: List[Edge], down_nodes: FrozenSet[Node],
@@ -518,3 +415,234 @@ class Fabric:
                 + max(params.gap, nbytes * params.gap_per_byte)
                 + params.latency
                 + max(0, hops - 1) * self.technology.hop_latency)
+
+
+class _Transfer:
+    """One transfer's request sequence, run one step at a time.
+
+    ``step`` holds the next step, and a driver runs it as
+    ``transfer.step(transfer)``: the first at once, each later one when
+    the event the one before returned has fired.  A step returns the
+    next event to wait on, or ``None`` once the last byte is in and
+    :attr:`outcome` is set; a lost transfer raises from the step that
+    loses it.  The steps every transfer takes read the clock as
+    ``sim._now``, as the engine does, rather than through a property.
+    """
+
+    __slots__ = ("fabric", "src", "dst", "nbytes", "name", "done", "start",
+                 "traced", "span", "track", "route", "rerouted", "depart",
+                 "held", "pending", "corrupted", "outcome", "step")
+
+    done: Callable[[Any], None]
+    step: Callable[[_Transfer], Optional[Event]]
+
+    def __init__(self, fabric: Fabric, src: int, dst: int, nbytes: int,
+                 name: str = "") -> None:
+        if nbytes < 0:
+            raise ValueError("nbytes must be non-negative")
+        hosts = fabric.topology.hosts
+        if not 0 <= src < hosts:
+            raise IndexError(f"src {src} out of range")
+        if not 0 <= dst < hosts:
+            raise IndexError(f"dst {dst} out of range")
+        self.fabric = fabric
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.name = name
+        self.traced = False
+        self.track = DEFAULT_TRACK
+        self.span: Any = None
+        self.route: List[Edge] = []
+        self.rerouted = False
+        self.corrupted = False
+        self.outcome: Optional[TransferOutcome] = None
+        self.step = _Transfer._begin
+
+    def _begin(self) -> Event:
+        """First step: open the span, then wait out the sender overhead
+        (or the intra-host copy, or a first-use circuit set-up)."""
+        fabric = self.fabric
+        sim = fabric.sim
+        self.start = sim._now
+        obs = sim.obs
+        # One read of the flag per transfer: with observability off no
+        # span is built, not even the null one, and _finish reuses it.
+        self.traced = obs.enabled
+        if self.traced:
+            self.span = obs.span("fabric.transfer", src=self.src,
+                                 dst=self.dst, nbytes=self.nbytes)
+            self.track = obs.current_track
+        params = fabric.technology.loggp
+        if self.src == self.dst:
+            # Intra-host handoff: CPU overhead plus a memcpy.
+            self.step = _Transfer._arrived
+            return sim.timeout(params.overhead
+                               + self.nbytes / _LOCAL_COPY_BANDWIDTH)
+        if (fabric.technology.is_circuit_switched
+                and (self.src, self.dst) not in fabric._circuits):
+            # First use of this pair: optics must set up the circuit.
+            self.step = _Transfer._circuit_up
+            return sim.timeout(fabric.technology.circuit_setup_seconds)
+        self.step = _Transfer._routed
+        return sim.timeout(params.overhead)
+
+    def _circuit_up(self) -> Event:
+        fabric = self.fabric
+        fabric._circuits.add((self.src, self.dst))
+        self.step = _Transfer._routed
+        return fabric.sim.timeout(fabric.technology.loggp.overhead)
+
+    def _routed(self) -> Event:
+        """Sender overhead done: pick the route against the fault state
+        at injection time, then request the first resource."""
+        fabric = self.fabric
+        sim = fabric.sim
+        src, dst = self.src, self.dst
+        route = fabric.topology.route(src, dst)
+        plan = fabric.fault_plan
+        # Only link and node windows block routes or cut messages in
+        # flight; a plan without them skips both queries.
+        if plan is not None and plan.has_outages:
+            down_nodes = plan.down_nodes_at(sim.now)
+            down_links = plan.down_links_at(sim.now)
+            if down_nodes or down_links:
+                if fabric._blocked(route, down_nodes, down_links):
+                    degraded = fabric.topology.route_avoiding(
+                        src, dst, down_nodes, down_links)
+                    obs = sim.obs
+                    if degraded is None:
+                        plan.unreachable += 1
+                        obs.instant("fabric.unreachable", src=src, dst=dst)
+                        obs.metrics.counter("fabric.unreachable").inc()
+                        self.close_span("error")
+                        raise NetworkUnreachable(
+                            f"no route {src}->{dst} avoids "
+                            f"{len(down_nodes)} down node(s) and "
+                            f"{len(down_links)} down link(s)"
+                        )
+                    route = degraded
+                    self.rerouted = True
+                    plan.reroutes += 1
+                    obs.instant("fabric.reroute", src=src, dst=dst)
+                    obs.metrics.counter("fabric.reroutes").inc()
+        self.route = route
+        self.depart = sim._now
+        if fabric.contention:
+            self.held = fabric._acquire_order(src, route)
+            self.pending = iter(self.held)
+            self.step = _Transfer._granted
+            return next(self.pending).request()
+        self.held = []
+        self.step = _Transfer._serialized
+        return sim.timeout(self._serialization())
+
+    def _granted(self) -> Event:
+        """One grant in: request the next resource, or serialize once
+        the NIC and every link are held."""
+        resource = next(self.pending, None)
+        if resource is not None:
+            return resource.request()
+        self.step = _Transfer._serialized
+        return self.fabric.sim.timeout(self._serialization())
+
+    def _serialization(self) -> float:
+        params = self.fabric.technology.loggp
+        return max(params.gap, self.nbytes * params.gap_per_byte)
+
+    def _serialized(self) -> Event:
+        """Last byte on the wire: release the route, then check whether
+        the message survived the crossing."""
+        fabric = self.fabric
+        sim = fabric.sim
+        for resource in self.held:
+            resource.release()
+        plan = fabric.fault_plan
+        if plan is not None:
+            route = self.route
+            if plan.has_outages:
+                links = set()
+                nodes = set()
+                for a, b in route:
+                    links.add(canonical_link(a, b))
+                    nodes.add(a)
+                    nodes.add(b)
+                if plan.route_hit_during(links, nodes, self.depart,
+                                         sim.now):
+                    raise self._dropped(
+                        plan, "down_window",
+                        f"lost: route element went down in flight at "
+                        f"t<={sim.now:g}")
+            if (plan.has_directed_faults
+                    and plan.directed_hit_during(route, self.depart,
+                                                 sim.now)):
+                # Grey failure: the oriented hop eats the message.
+                # Deliberately no reroute — nothing reported the loss,
+                # so the routing layer has nothing to avoid.
+                plan.blackholes += 1
+                raise self._dropped(
+                    plan, "blackhole",
+                    f"lost: one-way blackhole on the route at "
+                    f"t<={sim.now:g}")
+            if plan.has_random_faults:
+                draw = plan.rng.random()
+                if draw < plan.drop_probability:
+                    raise self._dropped(plan, "random", "randomly dropped")
+                if draw < (plan.drop_probability
+                           + plan.corrupt_probability):
+                    plan.corruptions += 1
+                    sim.obs.instant("fabric.corrupt", src=self.src,
+                                    dst=self.dst)
+                    sim.obs.metrics.counter("fabric.corruptions").inc()
+                    self.corrupted = True
+        # Pipeline latency plus receiver overhead.
+        params = fabric.technology.loggp
+        propagation = (params.latency + max(0, len(self.route) - 1)
+                       * fabric.technology.hop_latency)
+        self.step = _Transfer._arrived
+        return sim.timeout(propagation + params.overhead)
+
+    def _dropped(self, plan: FabricFaultPlan, cause: str,
+                 how: str) -> TransferDropped:
+        plan.drops += 1
+        obs = self.fabric.sim.obs
+        obs.instant("fabric.drop", src=self.src, dst=self.dst, cause=cause)
+        obs.metrics.counter("fabric.drops").inc()
+        self.close_span("error")
+        return TransferDropped(f"transfer {self.src}->{self.dst} {how}")
+
+    def _arrived(self) -> None:
+        """Receiver overhead done: account the transfer; no next event."""
+        fabric = self.fabric
+        hops = len(self.route)
+        fabric._finish(self.src, self.dst, self.nbytes, self.start, hops,
+                       self.traced)
+        self.outcome = TransferOutcome(end=fabric.sim._now, hops=hops,
+                                       corrupted=self.corrupted,
+                                       rerouted=self.rerouted)
+        self.close_span("ok")
+        return None
+
+    def close_span(self, status: str) -> None:
+        """Close the ``fabric.transfer`` span, if it is still open."""
+        span = self.span
+        if span is not None:
+            self.span = None
+            span.close(status)
+
+    def _resume(self, _event: Optional[Event]) -> None:
+        """The callback driver (:meth:`Fabric.send`): run the next step,
+        then wait on its event or hand the end to ``done``."""
+        if self.traced:
+            self.fabric.sim.obs.set_track(self.track)
+        try:
+            event = self.step(self)
+        except (TransferDropped, NetworkUnreachable) as lost:
+            self.done(lost)
+            return
+        if event is None:
+            self.done(self.outcome)
+        elif event._callbacks is None:
+            event._callbacks = [self._resume]
+        else:
+            event.add_callback(self._resume)

@@ -15,6 +15,9 @@ Public surface
     :meth:`~repro.sim.engine.Simulator.run`.
 :class:`Event`, :class:`Timeout`, :class:`Process`
     Awaitable primitives.
+:class:`Task`
+    Fire-and-forget work run from event callbacks: a process's start
+    event without the process.
 :class:`AllOf`, :class:`AnyOf`
     Event combinators.
 :class:`Resource`, :class:`Store`
@@ -40,7 +43,13 @@ from repro.sim.detsan import (
 )
 from repro.sim.equeue import CalendarEventQueue, HeapEventQueue
 from repro.sim.event import AllOf, AnyOf, Event, EventStatus, Timeout
-from repro.sim.engine import Interrupt, Process, SimulationError, Simulator
+from repro.sim.engine import (
+    Interrupt,
+    Process,
+    SimulationError,
+    Simulator,
+    Task,
+)
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStreams
 
@@ -63,5 +72,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Store",
+    "Task",
     "Timeout",
 ]

@@ -126,12 +126,16 @@ class DetSanRecorder:
 
 
 def _resumed_processes(event: Any) -> Tuple[str, ...]:
-    """Names of the processes this event's delivery resumes.
+    """Names of the processes and tasks this event's delivery drives.
 
     Processes register bound ``_resume`` / ``_resume_with_interrupt``
-    methods as callbacks; anything with a ``generator`` attribute on the
-    bound receiver is a :class:`~repro.sim.engine.Process` (duck-typed
-    to avoid importing the engine from a module it instruments).
+    methods as callbacks, and tasks and callback-driven transfers
+    register their own bound methods.  A bound receiver with a
+    ``generator`` attribute is a :class:`~repro.sim.engine.Process`; one
+    with a ``track`` attribute is a :class:`~repro.sim.engine.Task` or a
+    transfer run by :meth:`~repro.network.fabric.Fabric.send`, named
+    after the task that sent it (duck-typed to avoid importing the
+    engine from a module it instruments).
     """
     callbacks = getattr(event, "_callbacks", None)
     if not callbacks:
@@ -139,7 +143,8 @@ def _resumed_processes(event: Any) -> Tuple[str, ...]:
     names: List[str] = []
     for callback in callbacks:
         receiver = getattr(callback, "__self__", None)
-        if receiver is not None and hasattr(receiver, "generator"):
+        if receiver is not None and (hasattr(receiver, "generator")
+                                     or hasattr(receiver, "track")):
             names.append(getattr(receiver, "name", "?"))
     return tuple(names)
 

@@ -39,6 +39,9 @@ the process on the event it yields next::
     sim = Simulator()
     sim.process(worker(sim))
     sim.run()
+
+Work that nothing waits on can be a :class:`Task` instead: the same
+start event, then plain callbacks, with no generator and no end event.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ from repro.sim.event import (
 if TYPE_CHECKING:  # pragma: no cover - type-only; no runtime dependency
     from repro.sim.detsan import DetSanRecorder
 
-__all__ = ["Simulator", "Process", "Interrupt", "SimulationError",
+__all__ = ["Simulator", "Process", "Task", "Interrupt", "SimulationError",
            "DEFAULT_QUEUE"]
 
 #: Priority band for ordinary events.  Interrupts use URGENT so that a
@@ -147,12 +150,7 @@ class Process(Event):
         # be reaped by the cyclic collector mid-run, because GeneratorExit
         # would close their open spans at a GC-dependent instant.
         sim._live_processes[self] = None
-        # Kick off the generator via an immediately-succeeding event,
-        # scheduled directly: a fresh event needs no trigger checks.
-        bootstrap = Event(sim, f"init:{self.name}")
-        bootstrap._callbacks = [self._resume]
-        bootstrap._status = _SUCCEEDED
-        sim._schedule_event(bootstrap)
+        sim._schedule_start(self._resume, self.name)
 
     @property
     def is_alive(self) -> bool:
@@ -266,6 +264,42 @@ class Process(Event):
             callbacks.append(self._resume)
         else:
             target.add_callback(self._resume)
+
+
+class Task:
+    """Fire-and-forget work run from event callbacks, not a generator.
+
+    A task starts where a process spawned at the same moment would: its
+    start event, named ``init:<name>``, calls :meth:`run` at the current
+    instant.  From there it advances only through the callbacks it
+    registers.  It has no generator, no span of its own and no end
+    event, so nothing can wait on it.  With observability on it gets a
+    unique track, as a process does; a subclass's own callbacks call
+    :meth:`enter` first so that what they record lands there.  DetSan
+    names a task's events after its ``name``.
+    """
+
+    __slots__ = ("sim", "name", "track")
+
+    def __init__(self, sim: Simulator, name: str) -> None:
+        self.sim = sim
+        self.name = name
+        self.track = (sim.obs.unique_track(name) if sim._obs_enabled
+                      else DEFAULT_TRACK)
+        sim._schedule_start(self._start, name)
+
+    def _start(self, _event: Event) -> None:
+        self.enter()
+        self.run()
+
+    def enter(self) -> None:
+        """Make this task's track the current one."""
+        if self.sim._obs_enabled:
+            self.sim.obs.set_track(self.track)
+
+    def run(self) -> None:
+        """The task's first step, run by its start event."""
+        raise NotImplementedError
 
 
 class Simulator:
@@ -418,6 +452,17 @@ class Simulator:
         return AnyOf(self, list(events))
 
     # -- scheduling ------------------------------------------------------
+
+    def _schedule_start(self, callback: Callable[[Event], None],
+                        name: str) -> None:
+        """Queue ``callback`` at the current instant in a start event
+        named ``init:<name>``: how a process or a task takes its first
+        step.  A fresh event needs no trigger checks, so it is
+        scheduled directly."""
+        start = Event(self, f"init:{name}")
+        start._callbacks = [callback]
+        start._status = _SUCCEEDED
+        self._schedule_event(start)
 
     def _schedule_event(self, event: Event, delay: float = 0.0,
                         priority: int = NORMAL) -> None:

@@ -19,7 +19,7 @@ Conventions (shared with :mod:`repro.xp.experiments`):
   the run function: closed-form models have no randomness, and the
   four stochastic experiments (E07, E08, E13, E15) pin the seeds their
   claims were made at, since E07's and E15's claims do not hold at
-  every seed (ROADMAP item 7);
+  every seed (ROADMAP item 3, seed ensembles);
 * arms a claim compares run on the same inputs;
 * ``code_roots`` name the library modules each experiment drives; this
   file itself joins every experiment's fingerprint as the file that
@@ -507,7 +507,8 @@ def e07_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     from repro.sim.rng import RandomStreams
 
     # Pinned workload seed: the light-load parity claim fails at 6 of
-    # 19 other seeds (ROADMAP item 7), so it is a claim about this seed.
+    # 19 other seeds (ROADMAP item 3, seed ensembles), so it is a
+    # claim about this seed.
     generator = WorkloadGenerator(
         WorkloadParams(max_nodes=128, offered_load=float(config["load"])),
         RandomStreams(seed=1234))
@@ -594,7 +595,7 @@ def e08_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     }
     if nodes in _E08_MONTE_CARLO_SCALES:
         # Pinned seed: the Monte-Carlo claim was made at this one, and
-        # it also holds at seeds 1-10 (ROADMAP item 7).
+        # it also holds at seeds 1-10 (ROADMAP item 3, seed ensembles).
         runs = [simulate_checkpoint_run(24 * 3600.0, params, tau,
                                         ExponentialFailures(mtbf),
                                         RandomStreams(77), rep)
@@ -817,7 +818,8 @@ _E11 = ExperimentSpec(
             (_e11_log_cost(p)[0] - _e11_log_cost(p)[-1]) / np.log(2) > 3)),
         # Cannot fail: the MPP comparator is defined as the cluster's
         # $/FLOPS times the premium.  It needs an MPP cost model of its
-        # own before it counts as evidence (ROADMAP item 5).
+        # own before it counts as evidence (ROADMAP item 8, the MPP
+        # comparator).
         Claim("mpp_premium_never_catches_up", 6, lambda p: all(
             cost * premium > cost
             for cost in p["nominal"]["cluster_dollars_per_flops"]
@@ -961,7 +963,8 @@ def e13_run(config: Mapping[str, Any]) -> Dict[str, Any]:
                 "2to1": _time_alltoall(2, True),
                 "4to1": _time_alltoall(1, True)}
     # Pinned workload seed: both backfill claims were made at this one,
-    # and they also hold at seeds 1-10 (ROADMAP item 7).
+    # and they also hold at seeds 1-10 (ROADMAP item 3, seed
+    # ensembles).
     generator = WorkloadGenerator(
         WorkloadParams(max_nodes=128, offered_load=0.9),
         RandomStreams(seed=55))
@@ -1110,7 +1113,8 @@ def e15_run(config: Mapping[str, Any]) -> Dict[str, Any]:
 
     nodes = 1024  # repro: noqa[REP003] machine size in nodes, not bytes
     # Pinned workload and failure seeds: the waste and goodput claims
-    # break at 12 of 30 other seed pairs (ROADMAP item 7).
+    # break at 12 of 30 other seed pairs (ROADMAP item 3, seed
+    # ensembles).
     generator = WorkloadGenerator(
         WorkloadParams(max_nodes=nodes, offered_load=0.8),
         RandomStreams(seed=41))

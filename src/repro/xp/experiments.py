@@ -53,7 +53,7 @@ _CHECKPOINT_WRITE_SECONDS = 1e-4
 _RESTART_SECONDS = 2e-4
 #: E20/E21 campaign seed (retry jitter): the claims were made at this
 #: one, and they also hold at seeds 1-10, 1007, 2007 and 3007 (ROADMAP
-#: item 7).
+#: item 3, seed ensembles).
 _CAMPAIGN_SEED = 7
 
 
@@ -279,8 +279,8 @@ def e22_run(config: Mapping[str, Any]) -> Dict[str, Any]:
     from repro.sim.rng import RandomStreams
 
     # Pinned seed, for the trace and the campaign: the crash-count
-    # goodput claim fails at 8 of 13 other seeds (ROADMAP item 7), so it
-    # is a claim about this seed.
+    # goodput claim fails at 8 of 13 other seeds (ROADMAP item 3, seed
+    # ensembles), so it is a claim about this seed.
     seed = 22
     # Generated in seconds, where SWF's integer rounding is harmless,
     # round-tripped through the archive format, then scaled to the

@@ -21,7 +21,12 @@ per-node sender and prober processes gave way to the shared slot
 driver: their beats now come from the cycle index, so the faulty run's
 elapsed time, availability, heartbeat counts and the DetSan, trace and
 metrics lines that follow from them moved.  The other ten digests did
-not move.
+not move.  The fourteen detector-driven digests were re-pinned again
+when heartbeats, probe rounds and their legs became callback tasks
+instead of processes: each message lost its end event and its process
+span, so only the faulty run's DetSan line, its Chrome trace and the
+``sim.events_executed`` gauge in its metrics dump moved.  The eight
+oracle digests did not move.
 
 A second, coarser pin per case covers only what detection decided and
 what the job computed (:func:`semantics`): the health log, the death
@@ -200,17 +205,17 @@ SHAPES = {
 
 GOLDEN = {
     "stencil2d-fixed-after-finish":
-        "d0487b702b83d70ce19cad90a60ef4f108eb62bb59823aef581d818ad4375324",
+        "2e33d039ebf6dcbfe1e6499351c37b9f167f2fbc4abbec65a23e0c94f1165333",
     "stencil2d-fixed-early":
-        "4dd4a8d6899020019683e2f2e016bbfaae7994ff74ce9b7bff1553dca2948a07",
+        "d6f283078ad23ece7269c7f2e3abeba587080eb89f22aa70c0be876239d351c9",
     "stencil2d-fixed-mid-restart":
-        "82248b8067f37c3ad63b31e6e2fb24a2cd61b603088e27dd051c992ea614f202",
+        "668c5f385e5f801b54769a81401838fb6773754e915286ff972aefdc5996a91f",
     "stencil2d-fixed-partition":
-        "148814d6bd8e1ddcfad0a82236eb28762f0c10e7f291f2369856b03646a4ba7c",
+        "5ee13c47cccddf568b6a634c0a25c74a07fd3caa0e6a2dd89809508aad08337d",
     "stencil2d-fixed-slotted":
-        "b73f7708b4a79b24aacc08b99497480398551939ee87568be41ff6f5d4fbaecc",
+        "eacbaa197f94ab50ee29d59e017641973535293a06b65520d1023279363d1bf5",
     "stencil2d-gossip-partition":
-        "c0a49301d206771bbf9125a24ea28fb773ad63b0ad55290948deed8d5f0180be",
+        "887f67f8bfb5edfd83b2b35ae950e65d3cd8446d902d4309335820824aa67589",
     "stencil2d-oracle":
         "d90e154e1b865669ebc14317f2605a98c763cf6512a45496f614d38aa1ccfab5",
     "stencil2d-oracle-after-finish":
@@ -220,19 +225,19 @@ GOLDEN = {
     "stencil2d-oracle-no-faults":
         "9f1b9cd3535663492d55520c4eda6cd8ba0d49576e7ba1b26ed9e69ad2db1f6a",
     "stencil2d-phi-partition":
-        "3818a55ef4d87ff3f76336a2cc30e7bdfcb4d5de35c4e9255e772b9756bc9664",
+        "e56921a3ff25734b855387a4179fc82472999769eb758aac90451ce6a1b345d4",
     "summa-fixed-after-finish":
-        "ab010938ea8c6bba5d96b974fbefcd323ec725b49a15c5fa96c556ff05907a28",
+        "cb82f84f56f951b0a47ab42ff6e11914b8835fb31348560c7e7f049baa81c91c",
     "summa-fixed-early":
-        "4684660cbaedb1b79559848dafdb0b35bbf51ddfb3c8ba2aa2fd9bbacef0e582",
+        "85f4b0ab0e305cef56f3512fcb805baca2454297cc5420fa36a564468b4fab97",
     "summa-fixed-mid-restart":
-        "540f37b2cadfa45b3b249f7cd9a69fd44bc01615b9a271cfb7cbe19a9724a956",
+        "3ec5dc8e6cd11ce93cb9831924b29bdc426f93b6a735c4b7d659a91ba9c586c2",
     "summa-fixed-partition":
-        "608df8f76aee373f06ef72e32ad78ea7ee3f05627fb973dea71d907ba12e683e",
+        "4a653ca229e9d81dbc60d56b070df3d3bc414022b39b865ad8f6c28d26ee433b",
     "summa-fixed-slotted":
-        "4d79d81241f23adcb16b7333112048b63388a0823f856ed4fafd261f14a96bbc",
+        "4709072569d8c10b12bb706955d0d711fe7c08d0ea3096150a0a8d960c044799",
     "summa-gossip-partition":
-        "0bda4f5c82529a1b442629338f81c4e8bfeed9fc90e2054fb746d412f0f42a4b",
+        "e402eac4f2286d16e3c3ec0123df585b5c379016750231a238e3206278459e5f",
     "summa-oracle":
         "7b99c0df9f7dda38c0277079f5378c45ab47f0d7473691d595c25c4a8daed68d",
     "summa-oracle-after-finish":
@@ -242,7 +247,7 @@ GOLDEN = {
     "summa-oracle-no-faults":
         "18947556c47bf90a5a0de45d432efaf4a43a3d9503c25b312591eb55644c9385",
     "summa-phi-partition":
-        "e22764a7bb4523efb0071564a8445714c9ce4a1166aa80e384c8fbb3c7e740c2",
+        "6df0322b02a09a306fad65f7db43399551caf9643cba3557ee1457ad14465e25",
 }
 
 

@@ -14,7 +14,13 @@ heartbeat slots, and SWIM gossip on 128 nodes.  Each runs twice:
 DetSan forces the instrumented dispatch loop, so only the second run
 covers the fast loop that long detector runs spend their time in.  Both
 runs also pin the final clock, the fabric's transfer count, the fault
-plan's drop and blackhole counters and a SHA-256 of the membership log.
+plan's drop and blackhole counters and a SHA-256 of the membership log
+(``SHARED``).
+
+The stream pins moved once, when heartbeats, probe rounds and their
+legs became callback tasks instead of processes: each message kept its
+start event and lost its end event (central 28,514 -> 25,463 events,
+gossip 32,746 -> 29,646).  ``SHARED`` did not move.
 """
 
 import hashlib
@@ -35,7 +41,7 @@ HORIZON = 1.2
 
 
 def _run(detector, nodes, victims, detsan):
-    """Run one scenario; return ``(stream, shared)``.
+    """Run one scenario; return ``(stream, shared, monitor)``.
 
     ``stream`` is ``(digest, events_folded)`` under DetSan and
     ``events_executed`` in plain mode; ``shared`` is what both modes
@@ -64,8 +70,23 @@ def _run(detector, nodes, victims, detsan):
     shared = (sim.now, fabric.transfer_count, plan.drops, plan.blackholes,
               hashlib.sha256(log).hexdigest())
     if detsan:
-        return (recorder.digest, recorder.events_folded), shared
-    return sim.events_executed, shared
+        return (recorder.digest, recorder.events_folded), shared, monitor
+    return sim.events_executed, shared, monitor
+
+
+def _spawned(monkeypatch, detector, nodes, victims):
+    """Run one scenario in plain mode; return the names of the
+    processes it started, in order, and the monitor."""
+    names = []
+    process = Simulator.process
+
+    def counting(sim, generator, name=""):
+        names.append(name)
+        return process(sim, generator, name)
+
+    monkeypatch.setattr(Simulator, "process", counting)
+    _, _, monitor = _run(detector, nodes, victims, detsan=False)
+    return names, monitor
 
 
 class TestCentralHeartbeats:
@@ -76,16 +97,21 @@ class TestCentralHeartbeats:
               "cd6dc6c8e196fdee1259e3465a805b10af3f63b0620651644c0c9744dcbe8d4f")
 
     def test_under_detsan(self):
-        stream, shared = _run("fixed", 256, (37, 201), detsan=True)
+        stream, shared, _ = _run("fixed", 256, (37, 201), detsan=True)
         assert stream == (
-            "07b36ab1ab684e62e9962c701ab8fc77668380ef7cc1993c0a46dfa31987e519",
-            28514)
+            "8b1714185e0257e420b7aa894a448d688d8558435f4d79d362509676cde7ad13",
+            25463)
         assert shared == self.SHARED
 
     def test_plain_fast_loop(self):
-        stream, shared = _run("fixed", 256, (37, 201), detsan=False)
-        assert stream == 28514
+        stream, shared, _ = _run("fixed", 256, (37, 201), detsan=False)
+        assert stream == 25463
         assert shared == self.SHARED
+
+    def test_only_the_long_lived_processes_start(self, monkeypatch):
+        """Heartbeats are callback tasks, not processes."""
+        names, _ = _spawned(monkeypatch, "fixed", 256, (37, 201))
+        assert names == ["hb.slots", "hb.check"]
 
 
 class TestGossip:
@@ -95,13 +121,23 @@ class TestGossip:
               "714a18473750e53180658a6798eb5b96c530c25b784235a5ea8a475b9e1f3c2f")
 
     def test_under_detsan(self):
-        stream, shared = _run("gossip", 128, (45, 99), detsan=True)
+        stream, shared, _ = _run("gossip", 128, (45, 99), detsan=True)
         assert stream == (
-            "9b73563af3692a8d8ce7c17c41d5d009a64784dbe642fea12effc26d10f9cf91",
-            32746)
+            "da8d482bf90e55dedefb3eece4a89bb9818ced9af245d1af4f4753b24dc70e9c",
+            29646)
         assert shared == self.SHARED
 
     def test_plain_fast_loop(self):
-        stream, shared = _run("gossip", 128, (45, 99), detsan=False)
-        assert stream == 32746
+        stream, shared, _ = _run("gossip", 128, (45, 99), detsan=False)
+        assert stream == 29646
         assert shared == self.SHARED
+
+    def test_only_the_long_lived_processes_start(self, monkeypatch):
+        """Probe rounds and their ping and ping-req legs are callback
+        tasks: besides the slot driver, only suspicion timers are
+        processes, one per suspicion."""
+        names, monitor = _spawned(monkeypatch, "gossip", 128, (45, 99))
+        assert monitor.suspicions > 0
+        assert names[0] == "gs.slots"
+        assert len(names) == 1 + monitor.suspicions
+        assert all(name.startswith("gs.sus") for name in names[1:])

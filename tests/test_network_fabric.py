@@ -1,5 +1,6 @@
 """Fabric transfer timing, contention, and circuit-switching behaviour."""
 
+import hashlib
 import tracemalloc
 
 import pytest
@@ -12,9 +13,10 @@ from repro.network import (
     SingleSwitchTopology,
     ThreeLevelFatTreeTopology,
     TransferDropped,
+    TransferOutcome,
     get_interconnect,
 )
-from repro.sim import DetSanRecorder, RandomStreams, Simulator
+from repro.sim import DetSanRecorder, RandomStreams, Simulator, Task
 
 
 def build_fabric(hosts=4, technology="gigabit_ethernet", **kwargs):
@@ -285,6 +287,130 @@ class TestSchedulingStreamPinned:
             "24991139badcead33e34d60cc9ddfa9a896b362da77611b8ced32affdcc67c71",
             3207, 0.0013291451154015625, 279)
         assert (plan.drops, plan.blackholes, plan.corruptions) == (21, 5, 16)
+
+
+def _settled(result):
+    """A message's outcome as a comparable value."""
+    if isinstance(result, TransferOutcome):
+        return result
+    return (type(result).__name__, str(result))
+
+
+class _PinnedMessage(Task):
+    """One message of the pinned traffic, sent by callbacks: its start
+    event sleeps until the send time, then hands the transfer to
+    :meth:`Fabric.send`."""
+
+    __slots__ = ("fabric", "index", "start", "src", "dst", "nbytes",
+                 "outcomes")
+
+    def __init__(self, fabric, outcomes, index, start, src, dst, nbytes):
+        self.fabric = fabric
+        self.outcomes = outcomes
+        self.index = index
+        self.start = start
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        super().__init__(fabric.sim, f"t{index}")
+
+    def run(self):
+        self.sim.timeout(self.start).add_callback(self._due)
+
+    def _due(self, _event):
+        self.fabric.send(self.src, self.dst, self.nbytes, self._done,
+                         self.name)
+
+    def _done(self, result):
+        self.outcomes[self.index] = _settled(result)
+
+
+def _drive_pinned_traffic(plan, callbacks):
+    """Send the pinned traffic through one of the fabric's two drivers.
+
+    Without ``callbacks`` each message is a process that sleeps until
+    its send time and then runs ``transfer_ex``; with them it is a
+    :class:`_PinnedMessage`.  Either way a message schedules one start
+    event and one timeout, in the same order.  Returns the transfer
+    records, the transfer count, the plan's counters and each message's
+    outcome (compared), and the events delivered (reported apart).
+    """
+    sim = Simulator()
+    fabric = Fabric(sim, FatTreeTopology(_PIN_HOSTS, hosts_per_leaf=8,
+                                         spines=2),
+                    get_interconnect("infiniband_4x"), fault_plan=plan,
+                    record_transfers=True)
+    rng = RandomStreams(2002).get("fabric.pin")
+    outcomes = {}
+
+    def sender(index, start, src, dst, nbytes):
+        yield sim.timeout(start)
+        try:
+            result = yield from fabric.transfer_ex(src, dst, nbytes)
+        except (TransferDropped, NetworkUnreachable) as lost:
+            result = lost
+        outcomes[index] = _settled(result)
+
+    for index in range(_PIN_TRANSFERS):
+        src = int(rng.integers(_PIN_HOSTS))
+        dst = (src + 1 + int(rng.integers(_PIN_HOSTS - 1))) % _PIN_HOSTS
+        start = float(rng.uniform(0.0, 1e-3))
+        nbytes = int(rng.integers(1, 65_536))
+        if callbacks:
+            _PinnedMessage(fabric, outcomes, index, start, src, dst, nbytes)
+        else:
+            sim.process(sender(index, start, src, dst, nbytes),
+                        name=f"t{index}")
+    sim.run()
+    counters = None
+    if plan is not None:
+        counters = (plan.drops, plan.blackholes, plan.reroutes,
+                    plan.corruptions, plan.unreachable)
+    seen = (tuple(fabric.records), fabric.transfer_count, counters,
+            tuple(outcomes[index] for index in range(_PIN_TRANSFERS)))
+    return seen, sim.events_executed
+
+
+class TestTwoDriversOneTransfer:
+    """``transfer_ex`` in processes and ``send`` from callbacks drive
+    the same transfer object, so the same traffic gets the same records,
+    counters and outcomes from both, on a clean fabric and under each
+    of the pinned fault plans.  The digests pin what both saw, so a
+    change to the shared request sequence (links requested in route
+    order, say) fails here too."""
+
+    DIGESTS = {
+        "clean": (
+            "0882c43855f0d5ffbfb0911e637583b66f235625da69ba63de6af3e302baf315",
+            300),
+        "outage_and_blackhole": (
+            "4f9ce8cdeb89047fd25a2396feccd141891397d1b6a994790bee8e550d948943",
+            293),
+        "blackhole_and_random_loss": (
+            "1fa039eb964468a8019e0a6497a4366df8660575aaec1bdef5e5afdad21bf465",
+            279),
+    }
+    PLANS = {
+        "clean": lambda: None,
+        "outage_and_blackhole": _outage_plan,
+        "blackhole_and_random_loss": _loss_plan,
+    }
+
+    @pytest.mark.parametrize("case", sorted(PLANS))
+    def test_callback_driver_matches_generator_driver(self, case):
+        generator, generator_events = _drive_pinned_traffic(
+            self.PLANS[case](), callbacks=False)
+        callback, callback_events = _drive_pinned_traffic(
+            self.PLANS[case](), callbacks=True)
+        assert callback == generator
+        # A message sent by callbacks has no end event; nothing else
+        # differs.
+        assert generator_events - callback_events == _PIN_TRANSFERS
+        records, transfers, counters, outcomes = generator
+        text = "\n".join(repr(item) for item in
+                         (*records, counters, *outcomes))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert (digest, transfers) == self.DIGESTS[case]
 
 
 class TestStateBoundedByTopology:
