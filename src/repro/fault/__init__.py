@@ -41,7 +41,6 @@ from repro.fault.campaign import (
     NodeFaultSpec,
     RankCheckpoint,
     RunOutcome,
-    SwitchFaultSpec,
     available_kernels,
     build_fault_plan,
     get_kernel,
@@ -70,7 +69,6 @@ __all__ = [
     "NodeFaultSpec",
     "RankCheckpoint",
     "RunOutcome",
-    "SwitchFaultSpec",
     "WeibullFailures",
     "available_kernels",
     "build_fault_plan",

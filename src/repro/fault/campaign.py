@@ -3,7 +3,7 @@
 A *campaign* runs one application kernel (registered via
 :func:`register_kernel`) across simulated ranks while a schedule of
 **node faults** (a rank's machine dies, the job is torn down and
-restarted from the last coordinated checkpoint) and **link/switch down
+restarted from the last coordinated checkpoint) and **link down
 windows** (the fabric drops or re-routes traffic) plays out.  The runner
 then re-executes the identical workload with faults disabled and checks
 the answers are **bit-identical** — the end-to-end proof that recovery
@@ -67,7 +67,6 @@ from repro.sim.rng import RandomStreams
 __all__ = [
     "NodeFaultSpec",
     "LinkFaultSpec",
-    "SwitchFaultSpec",
     "CampaignSpec",
     "CampaignReport",
     "CheckpointVault",
@@ -149,19 +148,6 @@ class LinkFaultSpec:
 
 
 @dataclass(frozen=True)
-class SwitchFaultSpec:
-    """Switch ``node`` is down for ``[start, start + duration)``."""
-
-    start: float
-    duration: float
-    node: Node
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.duration <= 0:
-            raise ValueError("need start >= 0 and duration > 0")
-
-
-@dataclass(frozen=True)
 class CampaignSpec:
     """One declarative fault campaign.
 
@@ -179,7 +165,6 @@ class CampaignSpec:
     app_args: Tuple[Tuple[str, Any], ...] = ()
     node_faults: Tuple[NodeFaultSpec, ...] = ()
     link_faults: Tuple[LinkFaultSpec, ...] = ()
-    switch_faults: Tuple[SwitchFaultSpec, ...] = ()
     seed: int = 0
     checkpoint_every: int = 1
     checkpoint_write_seconds: float = 1e-3
@@ -397,7 +382,6 @@ def _answers_equal(left: Any, right: Any) -> bool:
 def build_fault_plan(
         topology: FatTreeTopology,
         link_faults: Tuple[LinkFaultSpec, ...] = (),
-        switch_faults: Tuple[SwitchFaultSpec, ...] = (),
         drop_probability: float = 0.0,
         streams: Optional[RandomStreams] = None,
 ) -> Optional[FabricFaultPlan]:
@@ -411,7 +395,7 @@ def build_fault_plan(
     declarative fault specs to a live :class:`FabricFaultPlan`.
     """
     random_faults = drop_probability > 0
-    if not (link_faults or switch_faults or random_faults):
+    if not (link_faults or random_faults):
         return None
     rng = None
     if random_faults:
@@ -427,12 +411,6 @@ def build_fault_plan(
                 f"campaign topology (hosts are ('h', rank), switches "
                 f"('s', i))")
         plan.link_down(lf.a, lf.b, lf.start, lf.start + lf.duration)
-    for sf in switch_faults:
-        if sf.node not in topology.graph:
-            raise ValueError(
-                f"switch fault on {sf.node!r}: no such node in the "
-                f"campaign topology")
-        plan.node_down(sf.node, sf.start, sf.start + sf.duration)
     return plan
 
 
@@ -544,9 +522,6 @@ def _oracle_deaths(sim: Simulator, obs: Observability,
     """Zero-latency detection: run to the next fault and declare its
     victim dead the instant it strikes.  An empty list means the job is
     over: it finished first, or the queue drained with no fault left.
-
-    Only plain runs advance the clock, which keeps oracle runs and clean
-    replays on the engine's fast loop.
     """
     if not faults:
         sim.run()
@@ -632,7 +607,6 @@ def _run_once(spec: CampaignSpec, faults_enabled: bool,
     topology = spec.topology()
     plan = build_fault_plan(
         topology, link_faults=spec.link_faults,
-        switch_faults=spec.switch_faults,
         drop_probability=spec.drop_probability,
         streams=streams) if faults_enabled else None
     # One fabric for the whole run: outage schedules, degraded-route

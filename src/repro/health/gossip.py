@@ -193,8 +193,9 @@ class GossipMonitor(MembershipMonitor):
         #: Per-node deviations from "alive at incarnation 0" (sparse).
         self._views: List[Dict[int, Tuple[GossipStatus, int]]] = [
             {} for _ in range(nodes)]
-        #: Per-node dissemination queue: subject -> [status, inc, left].
-        self._queues: List[Dict[int, List[int]]] = [
+        #: Per-node dissemination queue: subject -> [status, inc, left],
+        #: the status a :class:`GossipStatus` member.
+        self._queues: List[Dict[int, List[Any]]] = [
             {} for _ in range(nodes)]
         #: Each node's own incarnation number (bumped to refute).
         self._incarnation: List[int] = [0] * nodes
@@ -380,13 +381,13 @@ class GossipMonitor(MembershipMonitor):
         queue = self._queues[node]
         if not queue:
             return []
-        order = sorted(queue.items(),
-                       key=lambda item: (-item[1][2], item[0]))
-        picked = order[:PIGGYBACK_LIMIT]
+        picked = list(queue.items())
+        if len(picked) > 1:
+            picked.sort(key=lambda item: (-item[1][2], item[0]))
+            del picked[PIGGYBACK_LIMIT:]
         selected: List[Tuple[int, GossipStatus, int]] = []
         for subject, entry in picked:
-            selected.append(
-                (subject, GossipStatus(entry[0]), entry[1]))
+            selected.append((subject, entry[0], entry[1]))
             entry[2] -= 1
             if entry[2] <= 0:
                 del queue[subject]
@@ -425,7 +426,7 @@ class GossipMonitor(MembershipMonitor):
             return
         view[subject] = (status, incarnation)
         self._queues[node][subject] = [
-            int(status), incarnation, self.retransmit_budget]
+            status, incarnation, self.retransmit_budget]
         record = self._spread.get((subject, int(status), incarnation))
         if record is not None:
             created_at, appliers = record
@@ -445,7 +446,7 @@ class GossipMonitor(MembershipMonitor):
         if _wins(status, incarnation, view.get(subject, _FRESH)):
             view[subject] = (status, incarnation)
         self._queues[origin][subject] = [
-            int(status), incarnation, self.retransmit_budget]
+            status, incarnation, self.retransmit_budget]
         key = (subject, int(status), incarnation)
         if key not in self._spread and self._spread_goal <= self.nodes:
             self._spread[key] = (self.sim.now, {origin})

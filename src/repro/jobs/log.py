@@ -383,11 +383,14 @@ class JobLog:
                                                JobState.RUNNING)]
 
     def all_terminal(self) -> bool:
-        """True when every known job has closed (and any exist)."""
-        if not self.rows:
-            return False
-        return all(row.state in TERMINAL_STATES
-                   for row in self.rows.values())
+        """True when every known job has closed (and any exist).
+
+        O(1): :meth:`apply_effect` and :meth:`fail` are the only ways
+        into a terminal state, a terminal state has no way out, and
+        each counts its job once.
+        """
+        return bool(self.rows) and (
+            self.completed + self.failed == len(self.rows))
 
     @property
     def fencing_rejections(self) -> int:

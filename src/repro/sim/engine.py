@@ -579,16 +579,26 @@ class Simulator:
         Returns the final virtual time.  When stopping on ``until``, the
         clock is advanced exactly to ``until`` (events due later stay
         queued), matching the convention measurement code expects.
-        ``stop`` is evaluated between events (never mid-delivery) and
-        leaves the clock where the last event put it — supervisors that
-        watch conditions maintained by perpetual processes (heartbeat
-        monitors keep the queue non-empty forever) use it to regain
-        control the moment the condition holds.
+
+        Before each entry that surfaces from the queue, a cancelled one
+        included, the loop asks in this order: does ``stop()`` hold, is
+        the entry due after ``until``, have ``max_events`` events been
+        delivered by this call?  So ``stop`` is never evaluated
+        mid-delivery or on an empty queue; it sees the clock and
+        :attr:`events_executed` as the previous entry left them, and
+        stopping leaves them there.  Supervisors that watch conditions
+        maintained by perpetual processes (heartbeat monitors keep the
+        queue non-empty forever) use it to regain control the moment
+        the condition holds.
+
+        A plain-mode simulator runs every form of the call on the fast
+        loop, :meth:`_run_fast`; the others run the instrumented loop
+        below.  Both stop at the same entry with the same clock.
         """
         if until is not None and until < self._now:
             raise ValueError(f"until={until} is in the past (now={self._now})")
-        if self._plain and stop is None and max_events is None:
-            return self._run_fast(until)
+        if self._plain:
+            return self._run_fast(until, max_events, stop)
         delivered = 0
         run_span = self.obs.span("sim.run", track=DEFAULT_TRACK)
         queue = self._queue
@@ -624,27 +634,47 @@ class Simulator:
                 self.obs.metrics.gauge("sim.events_executed").set(
                     float(self._event_count))
 
-    def _run_fast(self, until: Optional[float]) -> float:
+    def _run_fast(self, until: Optional[float], max_events: Optional[int],
+                  stop: Optional[Callable[[], bool]]) -> float:
         """Plain-mode run loop: walk calendar-queue batches inline.
 
         Semantically identical to the instrumented loop — same events,
-        same order, same clock — but with per-event work reduced to list
-        indexing plus the callback walk, and with delivered
-        fire-and-forget :class:`Timeout` objects recycled into the free
-        pool.  Only called when ``self._plain`` (nothing observes
-        deliveries) and neither ``stop`` nor ``max_events`` is in play.
+        same order, same clock, same stopping entry — but with per-event
+        work reduced to list indexing plus the callback walk, and with
+        delivered fire-and-forget :class:`Timeout` objects recycled into
+        the free pool.  Only called when ``self._plain`` (nothing
+        observes deliveries).
+
+        A run with ``stop`` or ``max_events`` is *checked*: each pass of
+        the loop then starts at a gate that makes the instrumented
+        loop's checks, in its order, before the next surfaced entry, and
+        the pass delivers that one entry.  The gate opens the next batch
+        only after its checks have passed, so ``stop`` sees the clock
+        the previous entry left.  An unchecked run enters the gate's
+        branch only when urgent events are due: an ordinary entry meets
+        no test that a loop without the gate would not make, and an
+        urgent one meets one more.
 
         Counter bookkeeping (``_event_count``, the queue's ``_count``)
         is flushed in ``finally`` so an exception escaping a process
         leaves the simulator consistent; the batch cursor is committed
-        the same way, so delivery never repeats after a resume.
+        the same way, so delivery never repeats after a resume.  A
+        checked run also brings ``_event_count`` up to date before each
+        ``stop()``.
         """
         queue = self._queue
         preempt = queue._preempt
         pool = _TIMEOUT_POOL
         getrefcount = sys.getrefcount
+        checked = stop is not None or max_events is not None
+        # Tested at the top of each pass and after each callback walk.
+        # Unchecked, it is the preempt deque itself, true while urgent
+        # events are due; checked, it is always true, so that every
+        # entry passes the gate on its own.
+        gate = True if checked else preempt
         count = 0      # events delivered
         removed = 0    # cancelled entries reaped
+        flushed = 0    # the part of ``count`` already in _event_count
         # Remaining pool capacity, maintained locally: it only changes
         # under this loop's control except while callbacks run (they may
         # create pooled timeouts), so it is recomputed after every
@@ -652,29 +682,58 @@ class Simulator:
         free = _POOL_MAX - len(pool)
         try:
             while True:
-                if preempt:
-                    # Urgent events due now beat every undelivered normal
-                    # event due now — the (when, PRIORITY, seq) contract.
-                    while preempt:
-                        event = preempt.popleft()
-                        callbacks = event._callbacks
-                        if callbacks is _CANCELLED:
-                            removed += 1
-                            continue
-                        event._callbacks = _DELIVERED
-                        count += 1
-                        if callbacks is not None:
-                            for callback in callbacks:
-                                callback(event)
-                        if event._status is _FAILED and not event.defused:
-                            raise SimulationError(
-                                f"unhandled failure in {event!r}"
-                            ) from event._value
-                    free = _POOL_MAX - len(pool)
-                    continue  # the drain may have scheduled more urgents
-                batch = queue._active
-                i = queue._active_index
-                n = len(batch)
+                if gate:
+                    if checked:
+                        head = queue.peek_time()
+                        if head == _INF:
+                            break
+                        if stop is not None:
+                            self._event_count += count - flushed
+                            flushed = count
+                            if stop():
+                                return self._now
+                        if until is not None and head > until:
+                            break
+                        if max_events is not None and count >= max_events:
+                            return self._now
+                        if (not preempt and queue._active_index
+                                == len(queue._active)):
+                            # The entry opens the next batch, and only
+                            # now does the clock move to it.
+                            self._now = queue._advance()
+                    if preempt:
+                        # Urgent events due now beat every undelivered
+                        # normal event due now — the (when, PRIORITY,
+                        # seq) contract.
+                        while preempt:
+                            event = preempt.popleft()
+                            callbacks = event._callbacks
+                            if callbacks is _CANCELLED:
+                                removed += 1
+                            else:
+                                event._callbacks = _DELIVERED
+                                count += 1
+                                if callbacks is not None:
+                                    for callback in callbacks:
+                                        callback(event)
+                                if (event._status is _FAILED
+                                        and not event.defused):
+                                    raise SimulationError(
+                                        f"unhandled failure in {event!r}"
+                                    ) from event._value
+                            if checked:
+                                break  # the gate comes first for the next
+                        free = _POOL_MAX - len(pool)
+                        continue  # the drain may have scheduled more urgents
+                    # Only a checked run gets here: deliver the one entry
+                    # the gate passed.
+                    batch = queue._active
+                    i = queue._active_index
+                    n = i + 1
+                else:
+                    batch = queue._active
+                    i = queue._active_index
+                    n = len(batch)
                 if i < n:
                     try:
                         while i < n:
@@ -741,10 +800,11 @@ class Simulator:
                                     raise SimulationError(
                                         f"unhandled failure in {event!r}"
                                     ) from event._value
-                                if preempt:
+                                if gate:
                                     # A callback raised an interrupt due
-                                    # at this instant; it preempts the
-                                    # rest of the batch.
+                                    # at this instant, which preempts the
+                                    # rest of the batch, or the run is
+                                    # checked.
                                     break
                                 # Callbacks may have appended events due
                                 # at this same instant; the no-callback
@@ -759,6 +819,7 @@ class Simulator:
                 t = times[0]
                 if until is not None and t > until:
                     break
+                # Inlined CalendarEventQueue._advance.
                 heappop(times)
                 self._now = t
                 queue._active_time = t
@@ -773,11 +834,12 @@ class Simulator:
                 self._now = until
             return self._now
         finally:
-            self._event_count += count
+            self._event_count += count - flushed
             queue._count -= count + removed
 
     def quiesce(self) -> int:
-        """Close every unfinished process generator, in spawn order.
+        """Close every unfinished process generator, in spawn order, then
+        drop every entry still queued.
 
         Supervisors call this once, after the last :meth:`run`, so that
         suspended helper processes (abandoned by a teardown, or parked on
@@ -785,8 +847,13 @@ class Simulator:
         of whenever the garbage collector finds them: ``GeneratorExit``
         closes any spans still open inside the body with status
         ``"error"`` at the final clock reading, and the process's own
-        span closes as ``"abandoned"``.  Returns the number of processes
-        closed.  Idempotent; finished processes are never touched.
+        span closes as ``"abandoned"``.  The entries left in the queue
+        (a stopped monitor's timers, wakeups nobody will take) have
+        callbacks that lead back to processes, services and this
+        simulator; dropping them lets most of a finished run's objects
+        go when their last reference does, not at the cyclic
+        collector's next pass.  Returns the number of processes closed.
+        Idempotent; finished processes are never touched.
         """
         closed = 0
         while self._live_processes:
@@ -796,6 +863,7 @@ class Simulator:
             if process._obs_span is not None:
                 process._obs_span.close("abandoned")
             closed += 1
+        self._queue = CalendarEventQueue() if self._wheel else HeapEventQueue()
         return closed
 
     def run_process(self, generator: Generator[Event, Any, Any],

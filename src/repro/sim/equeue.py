@@ -199,18 +199,27 @@ class CalendarEventQueue:
                 event = batch[i]
                 self._count -= 1
                 return (self._active_time, 1, event._seq, event)  # type: ignore[return-value]
-            times = self._times
-            if not times:
+            if not self._times:
                 return None
-            t = heappop(times)
-            self._active_time = t
-            if self._urgent:
-                pre = self._urgent.pop(t, None)
-                if pre is not None:
-                    preempt.extend(pre)
-            batch = self._slots.pop(t, None)
-            self._active = batch if batch is not None else []
-            self._active_index = 0
+            self._advance()
+
+    def _advance(self) -> float:
+        """Make the next pending time the active one and return it.
+
+        Its urgent entries move to ``_preempt`` and its slot becomes
+        ``_active``.  Only valid when the active slot and ``_preempt``
+        are drained and a time is pending.
+        """
+        t = heappop(self._times)
+        self._active_time = t
+        if self._urgent:
+            pre = self._urgent.pop(t, None)
+            if pre is not None:
+                self._preempt.extend(pre)
+        batch = self._slots.pop(t, None)
+        self._active = batch if batch is not None else []
+        self._active_index = 0
+        return t
 
     def peek_time(self) -> float:
         """Time of the next entry (cancelled or not); ``inf`` when empty."""

@@ -137,3 +137,26 @@ def streams():
 def nominal():
     """The nominal technology roadmap."""
     return get_scenario("nominal")
+
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """Counts, for one test, the ``Simulator._dispatch`` calls (one per
+    event the instrumented loop delivers) and the ``Simulator.run``
+    calls given a ``stop`` predicate."""
+    counts = {"dispatch": 0, "stop_runs": 0}
+    dispatch = Simulator._dispatch
+    run = Simulator.run
+
+    def counting_dispatch(self, entry):
+        counts["dispatch"] += 1
+        return dispatch(self, entry)
+
+    def counting_run(self, until=None, max_events=None, stop=None):
+        if stop is not None:
+            counts["stop_runs"] += 1
+        return run(self, until, max_events, stop)
+
+    monkeypatch.setattr(Simulator, "_dispatch", counting_dispatch)
+    monkeypatch.setattr(Simulator, "run", counting_run)
+    return counts

@@ -253,3 +253,22 @@ class TestPoolBoundaries:
         assert sim.quiesce() == 1
         assert len(_TIMEOUT_POOL) == 10
         assert sim.quiesce() == 0
+
+    def test_quiesce_drops_what_is_still_queued(self):
+        """A finished run's queued entries (timers, wakeups nobody will
+        take) do not outlive quiesce(), on either queue."""
+        for kind in ("wheel", "heap"):
+            sim = Simulator(queue=kind)
+
+            def sleeper():
+                yield sim.timeout(5.0)
+
+            sim.process(sleeper())
+            sim.timeout(3.0)
+            sim.run(until=1.0)
+            assert sim.peek() == 3.0
+            assert sim.quiesce() == 1
+            assert sim.peek() == float("inf")
+            assert len(sim._queue) == 0
+            assert sim.run() == 1.0
+            assert sim.events_executed == 1  # the start event alone

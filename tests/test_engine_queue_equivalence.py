@@ -3,7 +3,7 @@
 The calendar-queue kernel is only admissible because it is *observably
 identical* to the binary heap it replaced — same pop order under the
 ``(when, priority, seq)`` tie-break contract, same DetSan digests and
-records, same results.  This module pins that down at three levels:
+records, same results.  This module pins that down at four levels:
 
 * **queue level** — hypothesis-generated random schedules (same-instant
   ties, urgent entries, far-future events, interleaved pops) driven
@@ -16,7 +16,11 @@ records, same results.  This module pins that down at three levels:
 * **fast-path level** — the plain-mode run loop (no DetSan, no
   observability) delivers the same events in the same order as the
   instrumented loop, observed through workload-visible effects and
-  counters.
+  counters;
+* **stop and budget** — ``run(stop=, max_events=, until=)`` on
+  generated schedules stops at the same entry, with the same clock and
+  queue, on the plain wheel, the wheel under DetSan and the heap, and a
+  later ``run()`` resumes identically.
 
 Contract note: the engine only ever pushes at ``now + delay`` with
 ``delay >= 0``, so the generated schedules never push into the past —
@@ -407,3 +411,237 @@ class TestFastPathEquivalence:
         assert first[0] == first[1]
         heap_log = _mixed_workload(Simulator(queue="heap"))
         assert first[0] == heap_log
+
+
+# -- stop and budget ----------------------------------------------------------
+#
+# ``run(stop=, max_events=)`` must stop at the same entry on every loop:
+# the plain wheel's fast loop, the wheel's instrumented loop (DetSan on)
+# and the heap.  The predicates below log what they see on every call,
+# so the stop-call log is a per-entry trace of the clock and the
+# delivery count, fire-and-forget and cancelled entries included.
+
+_RUN_DELAYS = (0.0, 0.0, 0.5, 1.0, 1.0, 2.5)
+
+
+@st.composite
+def _actors(draw):
+    """A workload: bare and cancelled timeouts, sleeping processes,
+    interrupters, runtime cancellers and spawners."""
+    delay = st.sampled_from(_RUN_DELAYS)
+    return draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("timeout"), delay),
+            st.tuples(st.just("cancelled"), delay),
+            st.tuples(st.just("sleeper"),
+                      st.lists(delay, min_size=1, max_size=4)),
+            st.tuples(st.just("interrupter"), st.integers(0, 7), delay,
+                      st.integers(1, 2)),
+            st.tuples(st.just("canceller"), delay,
+                      st.sampled_from((0.5, 1.0, 2.5))),
+            st.tuples(st.just("spawner"), delay,
+                      st.lists(delay, min_size=1, max_size=3)),
+        ),
+        min_size=1, max_size=12,
+    ))
+
+
+#: One run call: (predicate kind, threshold, budget, until offset).
+_RUN_CALLS = st.tuples(
+    st.sampled_from((None, "state", "clock", "count")),
+    st.sampled_from((0, 1, 2, 3, 5, 8, 13)),
+    st.one_of(st.none(), st.integers(0, 30)),
+    st.one_of(st.none(), st.sampled_from((0.0, 0.5, 1.0, 2.0, 4.0))),
+)
+
+
+def _build_actors(sim, actors, log):
+    """Queue ``actors`` on ``sim``; their effects go to ``log``."""
+    sleepers = []
+
+    def sleeper(sid, delays):
+        for step, delay in enumerate(delays):
+            try:
+                yield sim.timeout(delay)
+            except Interrupt:
+                log.append(("interrupted", sid, step, sim.now))
+                continue
+            log.append(("woke", sid, step, sim.now))
+
+    def interrupter(victim, delay, times):
+        yield sim.timeout(delay)
+        if victim.is_alive:
+            for _ in range(times):  # same-instant urgent entries
+                victim.interrupt()
+            log.append(("poked", victim.name, sim.now))
+
+    def canceller(wait, extra):
+        doomed = sim.timeout(wait + extra)
+        yield sim.timeout(wait)
+        sim.cancel(doomed)
+        log.append(("cancelled", sim.now))
+
+    def spawner(sid, delay, delays):
+        yield sim.timeout(delay)
+        sim.process(sleeper(sid, delays), name=f"child{sid}")
+        log.append(("spawned", sid, sim.now))
+
+    doomed = []
+    for index, actor in enumerate(actors):
+        kind = actor[0]
+        if kind == "timeout":
+            sim.timeout(actor[1])
+        elif kind == "cancelled":
+            doomed.append(sim.timeout(actor[1]))
+        elif kind == "sleeper":
+            sleepers.append(sim.process(sleeper(index, actor[1]),
+                                        name=f"s{index}"))
+        elif kind == "interrupter":
+            if sleepers:
+                victim = sleepers[actor[1] % len(sleepers)]
+                sim.process(interrupter(victim, actor[2], actor[3]),
+                            name=f"i{index}")
+        elif kind == "canceller":
+            sim.process(canceller(actor[1], actor[2]), name=f"c{index}")
+        else:
+            sim.process(spawner(index, actor[1], actor[2]),
+                        name=f"p{index}")
+    for event in doomed:
+        sim.cancel(event)
+
+
+def _stop_predicate(kind, threshold, sim, log, seen):
+    """A predicate reading workload state, the clock or the delivery
+    count; every call logs what it sees."""
+    if kind is None:
+        return None
+
+    def stop():
+        seen.append((sim.now, sim.events_executed, len(log)))
+        if kind == "state":
+            return len(log) >= threshold
+        if kind == "clock":
+            return sim.now >= threshold
+        return sim.events_executed >= threshold
+
+    return stop
+
+
+def _run_calls(sim, actors, calls):
+    """Build the workload, make each run call, then drain; returns what
+    each call returned and left behind."""
+    log, seen = [], []
+    _build_actors(sim, actors, log)
+    observed = []
+    for kind, threshold, budget, until in calls + [(None, 0, None, None)]:
+        stop = _stop_predicate(kind, threshold, sim, log, seen)
+        horizon = None if until is None else sim.now + until
+        result = sim.run(until=horizon, max_events=budget, stop=stop)
+        observed.append((result, sim.now, sim.events_executed, sim.peek(),
+                         len(sim._queue), list(log), list(seen)))
+    return observed
+
+
+def _three_loops():
+    """The plain wheel (fast loop), the wheel under DetSan and the heap
+    (both on the instrumented loop)."""
+    plain = Simulator(queue="wheel")
+    assert plain._plain
+    return {"plain": plain,
+            "detsan": Simulator(detsan=DetSanRecorder(), queue="wheel"),
+            "heap": Simulator(queue="heap")}
+
+
+class TestStopAndBudgetEquivalence:
+    """``run(stop=, max_events=, until=)`` stops at the same entry, with
+    the same clock and queue, on the fast loop as on the instrumented
+    one, and a later ``run()`` resumes identically."""
+
+    @given(_actors(), st.lists(_RUN_CALLS, min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_generated_runs_stop_and_resume_identically(self, actors,
+                                                        calls):
+        observed = {name: _run_calls(sim, actors, calls)
+                    for name, sim in _three_loops().items()}
+        assert observed["plain"] == observed["detsan"] == observed["heap"]
+
+    def test_clock_predicate_sees_the_previous_entrys_clock(self):
+        """The first entry at t=2 is checked with the clock still at 1,
+        so it is delivered; the second is checked at 2 and stops."""
+        for sim in _three_loops().values():
+            for delay in (1.0, 2.0, 2.0):
+                sim.timeout(delay)
+            assert sim.run(stop=lambda: sim.now >= 2.0) == 2.0
+            assert sim.events_executed == 2
+            assert sim.peek() == 2.0
+            assert sim.run() == 2.0
+            assert sim.events_executed == 3
+
+    def test_stop_runs_before_cancelled_entries(self):
+        """A cancelled entry is checked like any other, and a stop before
+        it leaves it queued and the clock where the last entry put it."""
+        for sim in _three_loops().values():
+            sim.timeout(1.0)
+            doomed = sim.timeout(3.0)
+            sim.timeout(5.0)
+            sim.cancel(doomed)
+            calls = []
+
+            def stop():
+                calls.append(sim.now)
+                return len(calls) == 2
+
+            assert sim.run(stop=stop) == 1.0
+            assert calls == [0.0, 1.0]
+            assert len(sim._queue) == 2
+            assert sim.run() == 5.0
+            assert sim.events_executed == 2
+
+    def test_budget_counts_deliveries_not_reaped_entries(self):
+        for sim in _three_loops().values():
+            for delay in (1.0, 1.0, 2.0, 3.0):
+                event = sim.timeout(delay)
+            sim.cancel(event)
+            assert sim.run(max_events=0) == 0.0
+            assert sim.events_executed == 0
+            assert sim.run(max_events=3) == 2.0
+            assert sim.events_executed == 3
+            assert sim.peek() == 3.0
+            assert sim.run(max_events=1) == 3.0
+            assert sim.events_executed == 3
+
+    def test_checks_run_in_the_instrumented_order(self):
+        """``stop`` before ``until`` before the budget: with the next
+        entry past ``until``, a spent budget still moves the clock to
+        ``until``, and a holding ``stop`` leaves it where it was."""
+        for sim in _three_loops().values():
+            sim.timeout(0.5)
+            sim.timeout(2.5)
+            assert sim.run(until=1.0, max_events=1) == 1.0
+        for sim in _three_loops().values():
+            sim.timeout(0.5)
+            sim.timeout(2.5)
+            assert sim.run(until=1.0, stop=lambda: sim.now >= 0.5) == 0.5
+            assert sim.events_executed == 1
+
+    def test_stop_runs_between_same_instant_interrupts(self):
+        for sim in _three_loops().values():
+            caught = []
+
+            def sleeper():
+                for _ in range(3):
+                    try:
+                        yield sim.timeout(10.0)
+                    except Interrupt:
+                        caught.append(sim.now)
+
+            def poker(victim):
+                yield sim.timeout(1.0)
+                victim.interrupt()
+                victim.interrupt()
+
+            sim.process(poker(sim.process(sleeper())))
+            sim.run(stop=lambda: len(caught) == 1)
+            assert caught == [1.0]
+            sim.run(max_events=1)
+            assert caught == [1.0, 1.0]

@@ -14,7 +14,6 @@ from repro.fault import (
     CheckpointVault,
     LinkFaultSpec,
     NodeFaultSpec,
-    SwitchFaultSpec,
     available_kernels,
     campaign,
     get_kernel,
@@ -68,20 +67,12 @@ class TestSpecValidation:
             NodeFaultSpec(time=-1.0, rank=0)
         with pytest.raises(ValueError):
             LinkFaultSpec(start=0.0, duration=0.0, a=("h", 0), b=("s", 0))
-        with pytest.raises(ValueError):
-            SwitchFaultSpec(start=-1.0, duration=1.0, node=("s", 2))
 
     def test_unknown_link_fails_loudly(self):
         spec = summa_spec(link_faults=(
             LinkFaultSpec(start=0.0, duration=1.0,
                           a=("host", 0), b=("leaf", 0)),))
         with pytest.raises(ValueError, match="no such link"):
-            run_campaign(spec)
-
-    def test_unknown_switch_fails_loudly(self):
-        spec = summa_spec(switch_faults=(
-            SwitchFaultSpec(start=0.0, duration=1.0, node=("s", 99)),))
-        with pytest.raises(ValueError, match="no such node"):
             run_campaign(spec)
 
 

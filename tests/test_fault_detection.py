@@ -9,13 +9,17 @@ through all of it.
 
 import math
 
+import pytest
+
 from repro.fault import (
     LinkFaultSpec,
     NodeFaultSpec,
     run_campaign,
 )
+from repro.fault.campaign import run_workload
 from repro.health import DetectionSpec
 from repro.obs import Observability
+from repro.sim import DetSanRecorder
 from tests.conftest import make_stencil_spec
 
 HB = 1e-4
@@ -36,6 +40,11 @@ CRASH = NodeFaultSpec(time=2.5e-3, rank=2)
 #: Strikes mid-run even without a partition (the clean stencil finishes
 #: around 2.3 ms).
 EARLY_CRASH = NodeFaultSpec(time=1.5e-3, rank=2)
+
+
+#: Gossip probes are round trips, so its period is 1 ms.
+GOSSIP = DetectionSpec(detector="gossip", heartbeat_interval=1e-3,
+                       suspect_after=3e-3, dead_after=6e-3)
 
 
 def detected_spec(**overrides):
@@ -161,3 +170,28 @@ class TestNoFaults:
         assert detection.false_deaths == 0
         assert math.isnan(detection.mttd_seconds)
         assert detection.heartbeats_delivered > 0
+
+
+class TestFastLoop:
+    """With observability and DetSan off, a detection-driven campaign's
+    ``stop``/budget runs deliver every event on the engine's fast loop.
+    A silent fall-back to the instrumented loop calls
+    ``Simulator._dispatch`` once per event, so this fails on any host."""
+
+    @pytest.mark.parametrize("detection", [TIGHT, GOSSIP],
+                             ids=["fixed", "gossip"])
+    def test_detection_driven_campaign_never_dispatches(self, loop_calls,
+                                                        detection):
+        report = run_campaign(detected_spec(detection=detection,
+                                            node_faults=(EARLY_CRASH,)))
+        assert report.answers_match
+        assert report.faulty.detection.detections
+        assert loop_calls["stop_runs"] > 0
+        assert loop_calls["dispatch"] == 0
+
+    def test_a_sanitized_run_dispatches_every_event(self, loop_calls):
+        """The counter is live: under DetSan each event is dispatched."""
+        recorder = DetSanRecorder()
+        run_workload(detected_spec(node_faults=(EARLY_CRASH,)),
+                     detsan=recorder)
+        assert loop_calls["dispatch"] == recorder.events_folded > 0

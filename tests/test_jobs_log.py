@@ -10,6 +10,7 @@ does first.  All three must preserve at-most-once.
 import pytest
 
 from repro.jobs import JobLog, JobRequest, JobState, Lease, LeaseTable
+from repro.jobs.state import TERMINAL_STATES
 
 
 def make_request(key="k1", **kwargs):
@@ -155,6 +156,64 @@ class TestFencedWrites:
         job_id, _ = submit_and_grant(log)
         with pytest.raises(ValueError, match="ever granted"):
             log.apply_effect(0.5, job_id, 7, 1, "3")
+
+
+def every_row_closed(log):
+    """``all_terminal`` by its definition: a scan of every row."""
+    return bool(log.rows) and all(
+        row.state in TERMINAL_STATES for row in log.rows.values())
+
+
+class TestAllTerminal:
+    def test_empty_log_is_not_done(self):
+        assert not JobLog().all_terminal()
+
+    def test_dedup_hit_adds_no_job(self):
+        log = JobLog()
+        job_id, lease = submit_and_grant(log)
+        assert log.submit(0.1, make_request()) == (job_id, True)
+        assert not log.all_terminal()
+        log.apply_effect(0.2, job_id, lease.token, 1, "3")
+        assert log.all_terminal()
+        assert log.submit(0.3, make_request()) == (job_id, True)
+        assert log.apply_effect(0.4, job_id, lease.token, 1, "3") == \
+            "duplicate"
+        assert log.all_terminal()
+
+    def test_failed_job_is_terminal(self):
+        log = JobLog()
+        job_id, _ = submit_and_grant(log)
+        log.expire(1.0, job_id)
+        assert not log.all_terminal()
+        log.fail(1.0, job_id, "attempts-exhausted")
+        assert log.all_terminal()
+
+    def test_matches_a_scan_of_the_rows_in_mixed_states(self):
+        log = JobLog()
+        seen = []
+
+        def check():
+            seen.append(log.all_terminal())
+            assert seen[-1] == every_row_closed(log)
+
+        check()
+        done, done_lease = submit_and_grant(log, key="done")
+        running, running_lease = submit_and_grant(log, key="running")
+        failed, _ = submit_and_grant(log, key="failed")
+        waiting, _ = log.submit(0.0, make_request(key="waiting"))
+        check()
+        log.mark_running(0.1, running, running_lease.token)
+        log.apply_effect(0.2, done, done_lease.token, 1, "3")
+        log.expire(1.0, failed)
+        check()
+        log.fail(1.0, failed, "attempts-exhausted")
+        log.apply_effect(1.1, running, running_lease.token, 1, "3")
+        check()
+        waiting_lease = log.grant(1.2, waiting, 2, 1.0)
+        log.apply_effect(1.3, waiting, waiting_lease.token, 2, "3")
+        check()
+        assert seen == [False, False, False, False, True]
+        assert {row.state for row in log.rows.values()} == TERMINAL_STATES
 
 
 class TestExactExpiryInstant:

@@ -20,6 +20,7 @@ from repro.jobs import (
     run_jobs_campaign,
 )
 from repro.obs import Observability
+from repro.sim import DetSanRecorder
 
 FAST_DETECTION = DetectionSpec(detector="fixed", heartbeat_interval=1e-4,
                                suspect_after=3e-4, dead_after=6e-4,
@@ -188,6 +189,19 @@ class TestFullCampaign:
         assert report.fencing_rejections >= 1
         for job_id in range(1, 13):
             assert report.log_text.count(f"effect job={job_id} ") == 1
+
+    def test_runs_on_the_fast_loop(self, loop_calls):
+        """With observability and DetSan off, the campaign's ``stop``/
+        budget runs deliver every event without the instrumented loop's
+        ``Simulator._dispatch``; under DetSan, each event goes through
+        it."""
+        report = run_jobs_campaign(self.spec())
+        assert_exactly_once(report)
+        assert loop_calls["stop_runs"] > 0
+        assert loop_calls["dispatch"] == 0
+        recorder = DetSanRecorder()
+        run_jobs_campaign(self.spec(), detsan=recorder)
+        assert loop_calls["dispatch"] == recorder.events_folded > 0
 
     def test_same_seed_runs_are_byte_identical(self):
         proof = prove_determinism(self.spec())
