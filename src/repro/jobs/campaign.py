@@ -57,6 +57,9 @@ __all__ = [
 
 _JOBS_MAX_EVENTS = 5_000_000
 _JOBS_CHUNK_EVENTS = 100_000
+#: Hard stop for a campaign's virtual clock, in seconds: jobs still
+#: open here stay open, and an action due here or later is an error.
+HORIZON = 0.5
 
 
 # -- fault schedule specs --------------------------------------------------
@@ -142,14 +145,10 @@ class JobsCampaignSpec:
     link_faults: Tuple[LinkFaultSpec, ...] = ()
     drop_probability: float = 0.0
     seed: int = 0
-    #: Hard stop for the virtual clock — jobs still open here stay open.
-    horizon: float = 0.5
 
     def __post_init__(self) -> None:
         if not self.requests:
             raise ValueError("campaign needs at least one request")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
         hosts = self.service.total_hosts
         for crash in self.worker_crashes:
             if crash.host >= hosts:
@@ -333,10 +332,10 @@ def _build_actions(spec: JobsCampaignSpec) -> List[_Action]:
             duration: float = 0.0,
             request: Optional[JobRequest] = None) -> None:
         nonlocal seq
-        if time >= spec.horizon:
+        if time >= HORIZON:
             raise ValueError(
                 f"{kind} action at {time} is past the campaign "
-                f"horizon {spec.horizon}")
+                f"horizon {HORIZON}")
         actions.append(_Action(time=time, priority=priority, seq=seq,
                                kind=kind, host=host, duration=duration,
                                request=request))
@@ -423,9 +422,9 @@ def run_jobs_campaign(
         while index < len(actions) and sim.now >= actions[index].time:
             _apply(sim, service, obs, actions[index])
             index += 1
-        if done() or sim.now >= spec.horizon:
+        if done() or sim.now >= HORIZON:
             break
-        target = spec.horizon
+        target = HORIZON
         if index < len(actions):
             target = min(target, actions[index].time)
         sim.run(until=max(target, sim.now),

@@ -17,8 +17,8 @@ Public surface
 --------------
 :class:`Communicator`
     Point-to-point (``send``/``recv``/``isend``/``irecv``/``sendrecv``),
-    collectives (``barrier``/``bcast``/``reduce``/``allreduce``/``gather``
-    /``scatter``/``allgather``/``alltoall``) and ``split``.
+    collectives (``barrier``/``bcast``/``allreduce``/``gather``
+    /``allgather``/``alltoall``) and ``split``.
 :func:`run_spmd`
     Harness: run one generator function per rank over a chosen fabric and
     return per-rank results plus elapsed virtual time.

@@ -4,7 +4,7 @@ Implementations follow the canonical MPICH/Open MPI algorithm families the
 2002-era literature was standardising:
 
 * **barrier** — dissemination (⌈log₂ p⌉ rounds, any p);
-* **bcast / reduce** — binomial trees (latency-optimal for short data);
+* **bcast** — binomial tree (latency-optimal for short data);
 * **allreduce** — three selectable algorithms, because the choice is a
   design decision bench E13 ablates:
 
@@ -15,7 +15,7 @@ Implementations follow the canonical MPICH/Open MPI algorithm families the
   - ``rabenseifner`` (recursive-halving reduce-scatter + recursive-doubling
     allgather; bandwidth-optimal with log p rounds, power-of-two p);
 
-* **gather / scatter** — linear to/from root;
+* **gather** — linear to root;
 * **allgather** — ring;
 * **alltoall** — pairwise exchange (XOR partners for power-of-two p).
 
@@ -41,10 +41,8 @@ __all__ = [
     "COLLECTIVE_TAG_BASE",
     "barrier",
     "bcast",
-    "reduce",
     "allreduce",
     "gather",
-    "scatter",
     "allgather",
     "alltoall",
 ]
@@ -95,33 +93,6 @@ def bcast(comm: Communicator, obj: Any, root: int = 0
             yield from comm.send(obj, dest, tag)
         mask >>= 1
     return obj
-
-
-def reduce(comm: Communicator, obj: Any, op: Callable, root: int = 0
-           ) -> Generator[Event, Any, Any]:
-    """Binomial-tree reduction; returns the result at ``root``, ``None``
-    elsewhere.  ``op`` must be commutative."""
-    comm._check_peer(root, "root")
-    tag = comm._next_tag()
-    size, rank = comm.size, comm.rank
-    if size == 1:
-        return obj
-    relative = (rank - root) % size
-    result = obj
-    mask = 1
-    while mask < size:
-        if relative & mask == 0:
-            source_relative = relative | mask
-            if source_relative < size:
-                incoming = yield from comm.recv(
-                    (source_relative + root) % size, tag)
-                result = op(result, incoming)
-        else:
-            dest = ((relative & ~mask) + root) % size
-            yield from comm.send(result, dest, tag)
-            break
-        mask <<= 1
-    return result if rank == root else None
 
 
 # -- allreduce family ------------------------------------------------------
@@ -290,7 +261,7 @@ def _allreduce_rabenseifner(comm: Communicator, array: np.ndarray,
     return flat.reshape(np.asarray(array).shape)
 
 
-# -- gather / scatter family -------------------------------------------------
+# -- gather ----------------------------------------------------------------
 
 def gather(comm: Communicator, obj: Any, root: int = 0
            ) -> Generator[Event, Any, Optional[List[Any]]]:
@@ -307,29 +278,6 @@ def gather(comm: Communicator, obj: Any, root: int = 0
         payload, status = yield from comm.recv_with_status(tag=tag)
         results[status.source] = payload
     return results
-
-
-def scatter(comm: Communicator, objs: Optional[List[Any]], root: int = 0
-            ) -> Generator[Event, Any, Any]:
-    """Linear scatter; each rank returns its element of root's list."""
-    comm._check_peer(root, "root")
-    tag = comm._next_tag()
-    size, rank = comm.size, comm.rank
-    if rank == root:
-        if objs is None or len(objs) != size:
-            raise ValueError(
-                f"root must scatter exactly {size} items, got "
-                f"{None if objs is None else len(objs)}"
-            )
-        requests = []
-        for peer in range(size):
-            if peer != root:
-                requests.append(comm.isend(objs[peer], peer, tag))
-        for request in requests:
-            yield from request.wait()
-        return comm._isolate(objs[root])
-    received = yield from comm.recv(root, tag)
-    return received
 
 
 def allgather(comm: Communicator, obj: Any

@@ -47,7 +47,7 @@ from repro.messaging.message import (
 from repro.network.fabric import Fabric, NetworkUnreachable, TransferDropped
 from repro.obs import NULL_SPAN
 from repro.sim.engine import Process, Simulator
-from repro.sim.event import Event
+from repro.sim.event import AnyOf, Event
 from repro.sim.resources import Store
 from repro.sim.rng import RandomStreams
 
@@ -527,8 +527,10 @@ class Communicator:
                                     "wildcard recv with failed peer(s)")
                 get_event = mailbox.get(match)
                 waiters = [get_event]
+                notice = None
                 if cfg.fault_aware:
-                    waiters.append(world.failure_notice())
+                    notice = world.failure_notice()
+                    waiters.append(notice)
                 timer = None
                 if deadline is not None:
                     remaining = deadline - self.sim.now
@@ -542,7 +544,16 @@ class Communicator:
                 if len(waiters) == 1:
                     envelope = yield get_event
                     return self._accept(envelope)
-                yield self.sim.any_of(waiters)
+                wait = AnyOf(self.sim, waiters)
+                if notice is not None:
+                    # Every wait in the world shares the notice, which
+                    # fires only at a failure.  Once this wait fires, even
+                    # abandoned by an interrupt, it leaves the notice, so
+                    # that the notice keeps neither it nor its envelope.
+                    wait.add_callback(
+                        lambda _, notice=notice, on_child=wait._on_child:
+                        notice.remove_callback(on_child))
+                yield wait
                 if get_event.triggered:
                     return self._accept(get_event.value)
                 mailbox.cancel(get_event)
@@ -607,13 +618,6 @@ class Communicator:
             result = yield from _collectives.bcast(self, obj, root)
         return result
 
-    def reduce(self, obj: Any, op: Callable = SUM, root: int = 0
-               ) -> Generator[Event, Any, Any]:
-        """Reduce every rank's ``obj`` with ``op``; result at ``root``."""
-        with self._op_span("reduce").set(root=root):
-            result = yield from _collectives.reduce(self, obj, op, root)
-        return result
-
     def allreduce(self, obj: Any, op: Callable = SUM,
                   algorithm: str = "recursive_doubling"
                   ) -> Generator[Event, Any, Any]:
@@ -629,13 +633,6 @@ class Communicator:
         """Collect every rank's ``obj`` at ``root`` (list by rank)."""
         with self._op_span("gather").set(root=root):
             result = yield from _collectives.gather(self, obj, root)
-        return result
-
-    def scatter(self, objs: Optional[List[Any]], root: int = 0
-                ) -> Generator[Event, Any, Any]:
-        """Distribute ``objs[i]`` from ``root`` to rank ``i``."""
-        with self._op_span("scatter").set(root=root):
-            result = yield from _collectives.scatter(self, objs, root)
         return result
 
     def allgather(self, obj: Any) -> Generator[Event, Any, List[Any]]:

@@ -6,9 +6,9 @@ that the scheduling literature standardised on:
 * **arrivals** — Poisson (exponential inter-arrival), with the rate set so
   the *offered load* (requested node-seconds per node per second) matches
   a target ρ;
-* **widths** — log-uniform over [1, max_nodes] rounded to a power of two
-  with high probability (power-of-two bias is the strongest regularity in
-  the traces), never exceeding the machine;
+* **widths** — log-uniform over [1, max_nodes], three quarters of them
+  (``POWER_OF_TWO_BIAS``) rounded to a power of two (power-of-two bias is
+  the strongest regularity in the traces), never exceeding the machine;
 * **runtimes** — lognormal, heavy right tail;
 * **estimates** — actual runtime times a uniform overestimation factor in
   [1, overestimate_max]; a tenth of users (``EXACT_ESTIMATE_FRACTION``)
@@ -33,6 +33,8 @@ __all__ = ["WorkloadParams", "WorkloadGenerator"]
 
 #: Fraction of users whose estimate equals the actual runtime.
 EXACT_ESTIMATE_FRACTION = 0.1
+#: Probability a width is rounded to a power of two.
+POWER_OF_TWO_BIAS = 0.75
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,6 @@ class WorkloadParams:
     #: Lognormal runtime parameters (seconds): exp(mu) is the median.
     runtime_log_mean: float = float(np.log(900.0))
     runtime_log_sigma: float = 1.4
-    #: Probability a width is rounded to a power of two.
-    power_of_two_bias: float = 0.75
     #: Upper bound of the uniform overestimation factor.
     overestimate_max: float = 5.0
 
@@ -57,8 +57,6 @@ class WorkloadParams:
             raise ValueError("max_nodes must be >= 1")
         if not 0 < self.offered_load:
             raise ValueError("offered_load must be positive")
-        if not 0 <= self.power_of_two_bias <= 1:
-            raise ValueError("power_of_two_bias must be in [0, 1]")
         if self.overestimate_max < 1:
             raise ValueError("overestimate_max must be >= 1")
 
@@ -85,7 +83,7 @@ class WorkloadGenerator:
         raw = np.exp(rng.uniform(0.0, np.log(self.params.max_nodes + 1),
                                  size=count))
         widths = np.clip(raw.astype(int) + 1, 1, self.params.max_nodes)
-        snap = rng.random(count) < self.params.power_of_two_bias
+        snap = rng.random(count) < POWER_OF_TWO_BIAS
         powers = 2 ** np.round(np.log2(widths)).astype(int)
         widths = np.where(snap, np.clip(powers, 1, self.params.max_nodes),
                           widths)

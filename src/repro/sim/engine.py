@@ -62,7 +62,6 @@ from typing import (
 from repro.obs import DEFAULT_TRACK, NULL_OBS, Observability
 from repro.sim.equeue import CalendarEventQueue, Entry, HeapEventQueue
 from repro.sim.event import (
-    _CANCELLED,
     _DELIVERED,
     _FAILED,
     _PENDING,
@@ -497,30 +496,6 @@ class Simulator:
         else:
             queue.push(when, priority, seq, event)
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a queued, waiter-less event before it is delivered.
-
-        The entry stays inside the queue but is discarded — undelivered,
-        uncounted, untraced — when it surfaces.  Cancelling is
-        idempotent; cancelling an event that was already delivered, has
-        registered waiters, was never scheduled, or belongs to another
-        simulator is an error (waiters would hang forever, which is
-        exactly the bug class this restriction prevents).
-        """
-        callbacks = event._callbacks
-        if callbacks is _CANCELLED:
-            return
-        if event.sim is not self:
-            raise ValueError(f"{event!r} belongs to another simulator")
-        if callbacks is _DELIVERED:
-            raise RuntimeError(f"cannot cancel already-delivered {event!r}")
-        if type(callbacks) is list and callbacks:
-            raise RuntimeError(
-                f"cannot cancel {event!r}: waiters are registered")
-        if event._scheduled_at is None:
-            raise RuntimeError(f"cannot cancel unscheduled {event!r}")
-        event._callbacks = _CANCELLED
-
     # -- running ---------------------------------------------------------
 
     def _dispatch(self, entry: Entry) -> None:
@@ -547,27 +522,15 @@ class Simulator:
     def step(self) -> None:
         """Deliver the single next event, advancing virtual time to it.
 
-        Cancelled entries are reaped silently; raises :class:`IndexError`
-        if no deliverable event remains.
+        Raises :class:`IndexError` if the queue is empty.
         """
-        queue = self._queue
-        while True:
-            entry = queue.pop()
-            if entry is None:
-                raise IndexError("step from an empty event queue")
-            if entry[3]._callbacks is not _CANCELLED:
-                break
-            # Reaped cancelled entries still advance the clock, matching
-            # both run loops.
-            self._now = entry[0]
+        entry = self._queue.pop()
+        if entry is None:
+            raise IndexError("step from an empty event queue")
         self._dispatch(entry)
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none.
-
-        May report the time of a cancelled-but-unreaped entry; cancelled
-        entries are discarded when they surface, never delivered.
-        """
+        """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue.peek_time()
 
     def run(self, until: Optional[float] = None,
@@ -580,16 +543,15 @@ class Simulator:
         clock is advanced exactly to ``until`` (events due later stay
         queued), matching the convention measurement code expects.
 
-        Before each entry that surfaces from the queue, a cancelled one
-        included, the loop asks in this order: does ``stop()`` hold, is
-        the entry due after ``until``, have ``max_events`` events been
-        delivered by this call?  So ``stop`` is never evaluated
-        mid-delivery or on an empty queue; it sees the clock and
-        :attr:`events_executed` as the previous entry left them, and
-        stopping leaves them there.  Supervisors that watch conditions
-        maintained by perpetual processes (heartbeat monitors keep the
-        queue non-empty forever) use it to regain control the moment
-        the condition holds.
+        Before each entry that surfaces from the queue, the loop asks in
+        this order: does ``stop()`` hold, is the entry due after
+        ``until``, have ``max_events`` events been delivered by this
+        call?  So ``stop`` is never evaluated mid-delivery or on an
+        empty queue; it sees the clock and :attr:`events_executed` as
+        the previous entry left them, and stopping leaves them there.
+        Supervisors that watch conditions maintained by perpetual
+        processes (heartbeat monitors keep the queue non-empty forever)
+        use it to regain control the moment the condition holds.
 
         A plain-mode simulator runs every form of the call on the fast
         loop, :meth:`_run_fast`; the others run the instrumented loop
@@ -614,16 +576,7 @@ class Simulator:
                     return self._now
                 if max_events is not None and delivered >= max_events:
                     return self._now
-                entry = queue.pop()
-                if entry[3]._callbacks is _CANCELLED:
-                    # Reaped, not delivered — but the clock still
-                    # advances to the surfaced time (the fast path moves
-                    # it at batch advance, so the instrumented loop must
-                    # match).  Re-peek: the next real entry may lie
-                    # beyond ``until``.
-                    self._now = entry[0]
-                    continue
-                self._dispatch(entry)
+                self._dispatch(queue.pop())
                 delivered += 1
             if until is not None:
                 self._now = until
@@ -673,7 +626,6 @@ class Simulator:
         # entry passes the gate on its own.
         gate = True if checked else preempt
         count = 0      # events delivered
-        removed = 0    # cancelled entries reaped
         flushed = 0    # the part of ``count`` already in _event_count
         # Remaining pool capacity, maintained locally: it only changes
         # under this loop's control except while callbacks run (they may
@@ -708,19 +660,16 @@ class Simulator:
                         while preempt:
                             event = preempt.popleft()
                             callbacks = event._callbacks
-                            if callbacks is _CANCELLED:
-                                removed += 1
-                            else:
-                                event._callbacks = _DELIVERED
-                                count += 1
-                                if callbacks is not None:
-                                    for callback in callbacks:
-                                        callback(event)
-                                if (event._status is _FAILED
-                                        and not event.defused):
-                                    raise SimulationError(
-                                        f"unhandled failure in {event!r}"
-                                    ) from event._value
+                            event._callbacks = _DELIVERED
+                            count += 1
+                            if callbacks is not None:
+                                for callback in callbacks:
+                                    callback(event)
+                            if (event._status is _FAILED
+                                    and not event.defused):
+                                raise SimulationError(
+                                    f"unhandled failure in {event!r}"
+                                ) from event._value
                             if checked:
                                 break  # the gate comes first for the next
                         free = _POOL_MAX - len(pool)
@@ -765,17 +714,6 @@ class Simulator:
                                         raise SimulationError(
                                             f"unhandled failure in {event!r}"
                                         ) from event._value
-                            elif callbacks is _CANCELLED:
-                                removed += 1
-                                if (free > 0
-                                        and type(event) is Timeout
-                                        and getrefcount(event) == 3):
-                                    free -= 1
-                                    event._callbacks = None
-                                    event.sim = None  # type: ignore[assignment]
-                                    event._value = None
-                                    event.defused = False
-                                    pool.append(event)
                             else:
                                 event._callbacks = _DELIVERED
                                 count += 1
@@ -808,7 +746,7 @@ class Simulator:
                                     break
                                 # Callbacks may have appended events due
                                 # at this same instant; the no-callback
-                                # branches cannot.
+                                # branch cannot.
                                 n = len(batch)
                     finally:
                         queue._active_index = i
@@ -835,7 +773,7 @@ class Simulator:
             return self._now
         finally:
             self._event_count += count - flushed
-            queue._count -= count + removed
+            queue._count -= count
 
     def quiesce(self) -> int:
         """Close every unfinished process generator, in spawn order, then

@@ -30,12 +30,6 @@ order:
     distribution without rehashing).  Urgent (priority-0) events are
     rare — only process interrupts use them — and ride a side table so
     the common path never inspects priorities.
-
-Cancellation is engine-level, not queue-level: a cancelled event stays
-queued with its ``_callbacks`` slot set to the module sentinel (see
-``repro.sim.event._CANCELLED``) and is discarded, uncounted, when it
-surfaces.  Both implementations therefore stay structurally identical
-under cancellation — the property the differential tests pin down.
 """
 
 from __future__ import annotations
@@ -69,19 +63,14 @@ class HeapEventQueue:
         heappush(self._heap, (when, priority, seq, event))
 
     def pop(self) -> Optional[Entry]:
-        """Remove and return the next entry, or ``None`` when empty.
-
-        Cancelled events are returned like any other entry; skipping
-        (and not counting) them is the engine's job, so both queue
-        implementations behave identically by construction.
-        """
+        """Remove and return the next entry, or ``None`` when empty."""
         heap = self._heap
         if not heap:
             return None
         return heappop(heap)
 
     def peek_time(self) -> float:
-        """Time of the next entry (cancelled or not); ``inf`` when empty."""
+        """Time of the next entry; ``inf`` when empty."""
         heap = self._heap
         return heap[0][0] if heap else _INF
 
@@ -179,11 +168,7 @@ class CalendarEventQueue:
             heappush(self._times, when)
 
     def pop(self) -> Optional[Entry]:
-        """Remove and return the next entry, or ``None`` when empty.
-
-        Like :meth:`HeapEventQueue.pop`, cancelled events come back too;
-        the engine discards them.
-        """
+        """Remove and return the next entry, or ``None`` when empty."""
         while True:
             preempt = self._preempt
             if preempt:
@@ -222,7 +207,7 @@ class CalendarEventQueue:
         return t
 
     def peek_time(self) -> float:
-        """Time of the next entry (cancelled or not); ``inf`` when empty."""
+        """Time of the next entry; ``inf`` when empty."""
         if self._preempt or self._active_index < len(self._active):
             return self._active_time  # type: ignore[return-value]
         times = self._times

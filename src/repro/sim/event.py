@@ -21,11 +21,8 @@ the engine's hot loop can classify an event with one identity check:
 :data:`_DELIVERED`
     Callbacks have run.  Late ``add_callback`` registrations are routed
     through the event queue (see :class:`_Soon`).
-:data:`_CANCELLED`
-    Engine-cancelled while queued (:meth:`Simulator.cancel`); the queues
-    still surface the entry but the engine discards it undelivered.
 
-Both sentinels are falsy and iterate as empty, so code that treats
+The sentinel is falsy and iterates as empty, so code that treats
 ``_callbacks`` as "maybe a populated list" — notably the DetSan
 recorder's pre-delivery fold — needs no special cases.
 """
@@ -60,17 +57,14 @@ class EventStatus(enum.Enum):
 
 
 class _CallbacksSentinel:
-    """Terminal ``_callbacks`` state (delivered or cancelled).
+    """Terminal ``_callbacks`` state: the event was delivered.
 
     Falsy and empty-iterable by design: observers that ask "are there
     pending callbacks?" or "which callbacks are pending?" get the right
     answer without knowing the sentinel exists.
     """
 
-    __slots__ = ("_label",)
-
-    def __init__(self, label: str) -> None:
-        self._label = label
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return False
@@ -79,13 +73,11 @@ class _CallbacksSentinel:
         return iter(())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<callbacks:{self._label}>"
+        return "<callbacks:delivered>"
 
 
 #: Callbacks already ran; the event is in the past.
-_DELIVERED = _CallbacksSentinel("delivered")
-#: Cancelled while queued; the engine discards the entry undelivered.
-_CANCELLED = _CallbacksSentinel("cancelled")
+_DELIVERED = _CallbacksSentinel()
 
 _Callbacks = Union[None, List[Callable[["Event"], None]], _CallbacksSentinel]
 
@@ -177,11 +169,6 @@ class Event:
         return self._status is _SUCCEEDED
 
     @property
-    def cancelled(self) -> bool:
-        """True iff the engine cancelled this event while it was queued."""
-        return self._callbacks is _CANCELLED
-
-    @property
     def value(self) -> Any:
         """The success value or failure exception; raises while pending."""
         if self._status is _PENDING:
@@ -226,18 +213,22 @@ class Event:
         If the event has already been delivered, the callback is scheduled
         as an immediate occurrence on the event queue (late waiters must not
         block forever) — via the queue rather than synchronously, so chains
-        of already-triggered yields cannot blow the Python stack.  Waiting
-        on a cancelled event is a programming error.
+        of already-triggered yields cannot blow the Python stack.
         """
         callbacks = self._callbacks
         if callbacks is None:
             self._callbacks = [callback]
         elif type(callbacks) is list:
             callbacks.append(callback)
-        elif callbacks is _DELIVERED:
-            _Soon(self.sim, self, callback)
         else:
-            raise RuntimeError(f"cannot wait on cancelled {self!r}")
+            _Soon(self.sim, self, callback)
+
+    def remove_callback(self, callback: Callable[["Event"], None]) -> None:
+        """Withdraw a registered ``callback`` before delivery; a no-op
+        once the event has been delivered."""
+        callbacks = self._callbacks
+        if type(callbacks) is list:
+            callbacks.remove(callback)
 
     # -- combinator sugar --------------------------------------------------
 

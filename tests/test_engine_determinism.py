@@ -44,7 +44,6 @@ def jobs_spec():
         worker_crashes=(WorkerCrashSpec(time=1.1e-3, host=1),),
         supervisor_crashes=(SupervisorCrashSpec(time=2.2e-3,
                                                 restart_after=1.5e-3),),
-        horizon=0.5,
         seed=7,
     )
 

@@ -5,8 +5,8 @@ The plain-mode fast loop recycles delivered fire-and-forget
 ``Simulator.timeout`` hands them out again.  The optimisation is only
 legal if no program can tell: these tests pin the proof obligations —
 recycling only provably-unreferenced objects, full state reset on
-reuse, reuse across cancellation/interrupt/multi-simulator boundaries,
-and the pool capacity bound.
+reuse, reuse across interrupt/multi-simulator boundaries, and the pool
+capacity bound.
 """
 
 import pytest
@@ -51,7 +51,6 @@ class TestRecycling:
         assert len(_TIMEOUT_POOL) == 0
         assert event.delay == 2.5
         assert event.sim is sim
-        assert not event.cancelled
         assert not event.defused
         assert event.ok and event.value == "new"
         assert sim.run() == 3.5
@@ -108,54 +107,6 @@ class TestRecycling:
             sim.timeout(1.0)
         sim.run()
         assert len(_TIMEOUT_POOL) == 0
-
-
-class TestCancellation:
-    def test_cancelled_timeouts_are_recycled_and_clock_advances(self):
-        sim = Simulator()
-        sim.timeout(1.0)
-        doomed = [sim.timeout(5.0) for _ in range(10)]
-        for event in doomed:
-            sim.cancel(event)
-        del doomed, event  # drop the only outside references
-        final = sim.run()
-        # Cancelled entries are reaped (never delivered) but recycled,
-        # and the clock advances past them — identically on every queue
-        # and loop variant.
-        assert sim.events_executed == 1
-        assert final == 5.0
-        assert len(_TIMEOUT_POOL) == 11
-
-    def test_reuse_after_cancellation_is_clean(self):
-        sim = Simulator()
-        doomed = sim.timeout(5.0)
-        sim.cancel(doomed)
-        assert doomed.cancelled
-        del doomed
-        sim.run()
-        assert len(_TIMEOUT_POOL) == 1
-        event = sim.timeout(1.0)
-        assert not event.cancelled
-        waited = []
-
-        def body():
-            value = yield event
-            waited.append(value)
-
-        sim.process(body())
-        sim.run()
-        assert waited == [None]
-
-    def test_trailing_cancelled_clock_matches_across_queues(self):
-        finals = {}
-        for kind in ("heap", "wheel"):
-            sim = Simulator(queue=kind)
-            sim.timeout(1.0)
-            victim = sim.timeout(7.0)
-            sim.cancel(victim)
-            del victim
-            finals[kind] = sim.run()
-        assert finals["heap"] == finals["wheel"] == 7.0
 
 
 class TestInterrupts:

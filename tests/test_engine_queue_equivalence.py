@@ -12,7 +12,7 @@ records, same results.  This module pins that down at four levels:
 * **simulator level** — the same workload run on ``queue="heap"`` and
   ``queue="wheel"`` produces byte-identical DetSan digests (pinned to an
   absolute value) and DetSan record streams, including under
-  cancellation and interrupts;
+  interrupts;
 * **fast-path level** — the plain-mode run loop (no DetSan, no
   observability) delivers the same events in the same order as the
   instrumented loop, observed through workload-visible effects and
@@ -28,7 +28,6 @@ that is the (documented) precondition the calendar queue's active-slot
 cursor relies on.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
@@ -233,75 +232,11 @@ class TestQueueLevelEquivalence:
         assert len(counted) == 0
 
 
-# -- cancellation-heavy lockstep ---------------------------------------------
-#
-# Cancellation is engine-level: the entry stays queued and is reaped,
-# uncounted, when it surfaces.  The queues never inspect the cancel
-# mark, so the interesting differential is one level up — two
-# simulators stepped in lockstep, asserting len()/peek() parity of the
-# underlying queues after every delivered event while most of the
-# queued entries are cancelled.
-
-def _lockstep(plan):
-    """Build a heap and a wheel simulator from the same (delay, cancel)
-    plan and step them in lockstep, asserting queue parity throughout."""
-    sims = []
-    for kind in ("heap", "wheel"):
-        sim = Simulator(queue=kind)
-        doomed = []
-        for delay, cancel in plan:
-            event = sim.timeout(delay)
-            if cancel:
-                doomed.append(event)
-        for event in doomed:
-            sim.cancel(event)
-        sims.append(sim)
-    heap_sim, wheel_sim = sims
-    delivered = 0
-    while True:
-        assert len(heap_sim._queue) == len(wheel_sim._queue)
-        assert heap_sim.peek() == wheel_sim.peek()
-        try:
-            heap_sim.step()
-        except IndexError:
-            # Only cancelled (or no) entries remain: the wheel must agree.
-            with pytest.raises(IndexError):
-                wheel_sim.step()
-            break
-        wheel_sim.step()
-        delivered += 1
-        assert heap_sim.now == wheel_sim.now
-        assert heap_sim.events_executed == wheel_sim.events_executed
-    assert len(heap_sim._queue) == len(wheel_sim._queue) == 0
-    assert heap_sim.now == wheel_sim.now
-    return delivered
-
-
-class TestCancellationHeavyLockstep:
-    @given(st.lists(st.tuples(st.sampled_from(_DELAYS), st.booleans()),
-                    min_size=1, max_size=60))
-    @settings(max_examples=150, deadline=None)
-    def test_random_cancellation_plans_stay_in_lockstep(self, plan):
-        kept = sum(1 for _, cancel in plan if not cancel)
-        assert _lockstep(plan) == kept
-
-    def test_fully_cancelled_queue_drains_to_nothing(self):
-        """Every entry cancelled: both step() calls raise immediately and
-        reaping drains both queues to zero without advancing the count."""
-        assert _lockstep([(d, True) for d in _DELAYS]) == 0
-
-    def test_cancelled_slot_cohorts_reap_identically(self):
-        """Whole tied cohorts cancelled around a surviving entry."""
-        plan = ([(2.5, True)] * 6 + [(2.5, False)]
-                + [(0.5, True)] * 4 + [(7.0, False), (1e6, True)])
-        assert _lockstep(plan) == 2
-
-
 # -- simulator-level equivalence ---------------------------------------------
 
 def _mixed_workload(sim):
-    """Processes + ties + interrupts + resources + cancellation, all in
-    one pot: the shapes that would expose an ordering difference."""
+    """Processes + ties + interrupts + resources, all in one pot: the
+    shapes that would expose an ordering difference."""
     log = []
     resource = Resource(sim, capacity=2)
     store = Store(sim)
@@ -325,13 +260,6 @@ def _mixed_workload(sim):
             item = yield store.get()
             log.append(("got", item, sim.now))
 
-    def canceller():
-        doomed = [sim.timeout(10.0) for _ in range(5)]
-        yield sim.timeout(1.0)
-        for event in doomed[::2]:
-            sim.cancel(event)
-        log.append(("cancelled", sim.now))
-
     def interrupter(victim):
         yield sim.timeout(0.75)
         if victim.is_alive:
@@ -346,7 +274,6 @@ def _mixed_workload(sim):
     workers = [sim.process(worker(i), name=f"w{i}") for i in range(5)]
     sim.process(producer(), name="prod")
     sim.process(consumer(), name="cons")
-    sim.process(canceller(), name="cancel")
     victim = sim.process(sleeper(), name="sleeper")
     sim.process(interrupter(victim), name="poker")
     sim.run()
@@ -354,11 +281,11 @@ def _mixed_workload(sim):
     return log
 
 
-#: DetSan digest of ``_mixed_workload``'s 74 deliveries.  Pinned as an
+#: DetSan digest of ``_mixed_workload``'s 69 deliveries.  Pinned as an
 #: absolute value so an engine change that moves both queues the same
 #: way still fails.
 _MIXED_WORKLOAD_DIGEST = (
-    "b5ef4991db81ea5bcb338d118a9b034493a02a152283a4859d794ec4f4e69208")
+    "552a62df14ece1af530bddafd2ab365eb0fc3b624c8b5659227b637d9d34c691")
 
 
 class TestSimulatorLevelEquivalence:
@@ -369,7 +296,7 @@ class TestSimulatorLevelEquivalence:
             sim = Simulator(detsan=recorder, queue=kind)
             _mixed_workload(sim)
             recorders[kind] = recorder
-            assert recorder.events_folded == 74
+            assert recorder.events_folded == 69
             assert recorder.digest == _MIXED_WORKLOAD_DIGEST
             assert sim.now == 100.0
         assert (recorders["heap"].events_folded
@@ -377,6 +304,24 @@ class TestSimulatorLevelEquivalence:
         assert recorders["heap"].digest == recorders["wheel"].digest
         assert first_divergence(recorders["heap"],
                                 recorders["wheel"]) is None
+
+    def test_step_walks_both_queues_in_lockstep(self):
+        """``step()`` delivers one entry at a time: on the heap and the
+        wheel it walks the same tied schedule with the same clock,
+        count and queue after every step."""
+        heap, wheel = Simulator(queue="heap"), Simulator(queue="wheel")
+        for sim in (heap, wheel):
+            for delay in _DELAYS:
+                sim.timeout(delay)
+        while heap.peek() != float("inf"):
+            heap.step()
+            wheel.step()
+            assert ((heap.now, heap.events_executed, heap.peek(),
+                     len(heap._queue))
+                    == (wheel.now, wheel.events_executed, wheel.peek(),
+                        len(wheel._queue)))
+        assert heap.events_executed == len(_DELAYS)
+        assert wheel.peek() == float("inf")
 
     def test_workload_effects_identical_heap_vs_wheel(self):
         logs, counts, clocks = {}, {}, {}
@@ -419,26 +364,23 @@ class TestFastPathEquivalence:
 # the plain wheel's fast loop, the wheel's instrumented loop (DetSan on)
 # and the heap.  The predicates below log what they see on every call,
 # so the stop-call log is a per-entry trace of the clock and the
-# delivery count, fire-and-forget and cancelled entries included.
+# delivery count, fire-and-forget entries included.
 
 _RUN_DELAYS = (0.0, 0.0, 0.5, 1.0, 1.0, 2.5)
 
 
 @st.composite
 def _actors(draw):
-    """A workload: bare and cancelled timeouts, sleeping processes,
-    interrupters, runtime cancellers and spawners."""
+    """A workload: bare timeouts, sleeping processes, interrupters and
+    spawners."""
     delay = st.sampled_from(_RUN_DELAYS)
     return draw(st.lists(
         st.one_of(
             st.tuples(st.just("timeout"), delay),
-            st.tuples(st.just("cancelled"), delay),
             st.tuples(st.just("sleeper"),
                       st.lists(delay, min_size=1, max_size=4)),
             st.tuples(st.just("interrupter"), st.integers(0, 7), delay,
                       st.integers(1, 2)),
-            st.tuples(st.just("canceller"), delay,
-                      st.sampled_from((0.5, 1.0, 2.5))),
             st.tuples(st.just("spawner"), delay,
                       st.lists(delay, min_size=1, max_size=3)),
         ),
@@ -475,24 +417,15 @@ def _build_actors(sim, actors, log):
                 victim.interrupt()
             log.append(("poked", victim.name, sim.now))
 
-    def canceller(wait, extra):
-        doomed = sim.timeout(wait + extra)
-        yield sim.timeout(wait)
-        sim.cancel(doomed)
-        log.append(("cancelled", sim.now))
-
     def spawner(sid, delay, delays):
         yield sim.timeout(delay)
         sim.process(sleeper(sid, delays), name=f"child{sid}")
         log.append(("spawned", sid, sim.now))
 
-    doomed = []
     for index, actor in enumerate(actors):
         kind = actor[0]
         if kind == "timeout":
             sim.timeout(actor[1])
-        elif kind == "cancelled":
-            doomed.append(sim.timeout(actor[1]))
         elif kind == "sleeper":
             sleepers.append(sim.process(sleeper(index, actor[1]),
                                         name=f"s{index}"))
@@ -501,13 +434,9 @@ def _build_actors(sim, actors, log):
                 victim = sleepers[actor[1] % len(sleepers)]
                 sim.process(interrupter(victim, actor[2], actor[3]),
                             name=f"i{index}")
-        elif kind == "canceller":
-            sim.process(canceller(actor[1], actor[2]), name=f"c{index}")
         else:
             sim.process(spawner(index, actor[1], actor[2]),
                         name=f"p{index}")
-    for event in doomed:
-        sim.cancel(event)
 
 
 def _stop_predicate(kind, threshold, sim, log, seen):
@@ -575,39 +504,6 @@ class TestStopAndBudgetEquivalence:
             assert sim.events_executed == 2
             assert sim.peek() == 2.0
             assert sim.run() == 2.0
-            assert sim.events_executed == 3
-
-    def test_stop_runs_before_cancelled_entries(self):
-        """A cancelled entry is checked like any other, and a stop before
-        it leaves it queued and the clock where the last entry put it."""
-        for sim in _three_loops().values():
-            sim.timeout(1.0)
-            doomed = sim.timeout(3.0)
-            sim.timeout(5.0)
-            sim.cancel(doomed)
-            calls = []
-
-            def stop():
-                calls.append(sim.now)
-                return len(calls) == 2
-
-            assert sim.run(stop=stop) == 1.0
-            assert calls == [0.0, 1.0]
-            assert len(sim._queue) == 2
-            assert sim.run() == 5.0
-            assert sim.events_executed == 2
-
-    def test_budget_counts_deliveries_not_reaped_entries(self):
-        for sim in _three_loops().values():
-            for delay in (1.0, 1.0, 2.0, 3.0):
-                event = sim.timeout(delay)
-            sim.cancel(event)
-            assert sim.run(max_events=0) == 0.0
-            assert sim.events_executed == 0
-            assert sim.run(max_events=3) == 2.0
-            assert sim.events_executed == 3
-            assert sim.peek() == 3.0
-            assert sim.run(max_events=1) == 3.0
             assert sim.events_executed == 3
 
     def test_checks_run_in_the_instrumented_order(self):

@@ -73,8 +73,8 @@ class TestSpecValidation:
 
     def test_actions_past_horizon_fail_loudly(self):
         spec = JobsCampaignSpec(
-            requests=REQS, horizon=1e-3,
-            worker_crashes=(WorkerCrashSpec(time=5e-3, host=1),))
+            requests=REQS,
+            worker_crashes=(WorkerCrashSpec(time=0.5, host=1),))
         with pytest.raises(ValueError, match="horizon"):
             run_jobs_campaign(spec)
 
@@ -197,7 +197,7 @@ class TestRequestsFromJobs:
 class TestReport:
     def test_summary_mentions_the_load_bearing_numbers(self):
         report = run_jobs_campaign(
-            JobsCampaignSpec(requests=REQS, name="demo", horizon=0.1))
+            JobsCampaignSpec(requests=REQS, name="demo"))
         text = report.summary()
         assert "'demo'" in text
         assert "2 completed" in text

@@ -47,7 +47,7 @@ def assert_exactly_once(report):
 class TestHappyPath:
     def test_all_jobs_complete_without_faults(self):
         report = run_jobs_campaign(
-            JobsCampaignSpec(requests=requests(6), horizon=0.2))
+            JobsCampaignSpec(requests=requests(6)))
         assert_exactly_once(report)
         assert report.completed == 6
         assert report.failed == 0
@@ -56,7 +56,7 @@ class TestHappyPath:
 
     def test_effect_values_come_from_the_kernel(self):
         report = run_jobs_campaign(
-            JobsCampaignSpec(requests=requests(3), horizon=0.2))
+            JobsCampaignSpec(requests=requests(3)))
         for i in range(3):
             assert f"value={i}\n" in report.log_text or \
                 f"value={i} " in report.log_text
@@ -68,8 +68,7 @@ class TestDuplicateSubmissions:
             requests=requests(4, stagger=2e-4),
             duplicate_submits=(DuplicateSubmitSpec(time=1e-4, index=0),
                                DuplicateSubmitSpec(time=3e-4, index=1),
-                               DuplicateSubmitSpec(time=5e-3, index=2)),
-            horizon=0.2)
+                               DuplicateSubmitSpec(time=5e-3, index=2)))
         report = run_jobs_campaign(spec)
         assert_exactly_once(report)
         assert report.jobs == 4          # dedup created no new rows
@@ -87,7 +86,7 @@ class TestLeaseExpiryRaces:
         """A stall past lease expiry triggers re-grants; every write
         the zombie makes under an old token is rejected as stale."""
         spec = JobsCampaignSpec(
-            requests=requests(2), horizon=0.2,
+            requests=requests(2),
             service=ServiceConfig(workers=1, spare_workers=0),
             worker_stalls=(WorkerStallSpec(time=3e-4, host=1,
                                            duration=4e-3),))
@@ -109,11 +108,10 @@ class TestLeaseExpiryRaces:
                                 repair_seconds=5e-3,
                                 detection=FAST_DETECTION)
         spec = JobsCampaignSpec(requests=requests(1, work=3e-3),
-                                horizon=0.2, service=service)
+                                service=service)
         leaf = next(iter(spec.topology().graph.neighbors(("h", 1))))
         spec = JobsCampaignSpec(
-            requests=requests(1, work=3e-3), horizon=0.2,
-            service=service,
+            requests=requests(1, work=3e-3), service=service,
             link_faults=(LinkFaultSpec(start=5e-4, duration=2e-3,
                                        a=("h", 1), b=leaf),))
         report = run_jobs_campaign(spec)
@@ -132,7 +130,7 @@ class TestSupervisorCrash:
         message: the orphaned lease expires, the restarted supervisor
         rebuilds its table from the log, and the job is re-granted."""
         spec = JobsCampaignSpec(
-            requests=requests(2), horizon=0.2,
+            requests=requests(2),
             service=ServiceConfig(workers=2, spare_workers=0,
                                   grant_commit_gap=1e-4),
             supervisor_crashes=(SupervisorCrashSpec(time=1.5e-4,
@@ -148,7 +146,7 @@ class TestSupervisorCrash:
 class TestWorkerCrashes:
     def test_declared_death_requeues_and_activates_spare(self):
         spec = JobsCampaignSpec(
-            requests=requests(6, work=1.5e-3), horizon=0.2,
+            requests=requests(6, work=1.5e-3),
             service=ServiceConfig(workers=2, spare_workers=1,
                                   detection=FAST_DETECTION),
             worker_crashes=(WorkerCrashSpec(time=7e-4, host=1),))
@@ -167,7 +165,7 @@ class TestFullCampaign:
     def spec(self):
         return JobsCampaignSpec(
             requests=requests(12, work=1.2e-3, stagger=2e-4),
-            name="full-campaign", horizon=0.5, seed=7,
+            name="full-campaign", seed=7,
             service=ServiceConfig(workers=4, spare_workers=2),
             worker_crashes=(WorkerCrashSpec(time=1.1e-3, host=1),
                             WorkerCrashSpec(time=4.3e-3, host=3)),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.messaging import MAX, MIN, PROD, SUM, run_spmd
+from repro.messaging import MAX, SUM, run_spmd
 
 SIZES = [1, 2, 3, 4, 5, 7, 8, 16]
 
@@ -61,38 +61,6 @@ class TestBcast:
 
         with pytest.raises(IndexError):
             run_spmd(2, body)
-
-
-class TestReduce:
-    @pytest.mark.parametrize("size", SIZES)
-    def test_sum_at_root_none_elsewhere(self, size):
-        def body(comm):
-            value = yield from comm.reduce(comm.rank + 1, SUM, root=0)
-            return value
-
-        result = run_spmd(size, body)
-        assert result.results[0] == size * (size + 1) // 2
-        assert all(v is None for v in result.results[1:])
-
-    @pytest.mark.parametrize("op,expected", [
-        (MAX, 7), (MIN, 0), (PROD, 0),
-    ])
-    def test_operators(self, op, expected):
-        def body(comm):
-            value = yield from comm.reduce(comm.rank, op, root=0)
-            return value
-
-        result = run_spmd(8, body)
-        assert result.results[0] == expected
-
-    def test_nonzero_root(self):
-        def body(comm):
-            value = yield from comm.reduce(comm.rank, SUM, root=2)
-            return value
-
-        result = run_spmd(5, body)
-        assert result.results[2] == 10
-        assert result.results[0] is None
 
 
 class TestAllreduce:
@@ -170,33 +138,6 @@ class TestGatherScatter:
         result = run_spmd(size, body)
         assert result.results[0] == [r * 10 for r in range(size)]
         assert all(v is None for v in result.results[1:])
-
-    @pytest.mark.parametrize("size", SIZES)
-    def test_scatter_delivers_per_rank(self, size):
-        def body(comm):
-            items = [f"item{i}" for i in range(size)] if comm.rank == 0 else None
-            mine = yield from comm.scatter(items, root=0)
-            return mine
-
-        result = run_spmd(size, body)
-        assert result.results == [f"item{r}" for r in range(size)]
-
-    def test_scatter_validates_length(self):
-        def body(comm):
-            items = [1] if comm.rank == 0 else None
-            yield from comm.scatter(items, root=0)
-
-        with pytest.raises(ValueError, match="exactly"):
-            run_spmd(3, body)
-
-    def test_gather_scatter_inverse(self):
-        def body(comm):
-            gathered = yield from comm.gather(comm.rank ** 2, root=0)
-            back = yield from comm.scatter(gathered, root=0)
-            return back
-
-        result = run_spmd(6, body)
-        assert result.results == [r ** 2 for r in range(6)]
 
 
 class TestAllgatherAlltoall:

@@ -15,7 +15,7 @@ from repro.messaging.comm import (
 )
 from repro.messaging.program import make_world
 from repro.network import FabricFaultPlan
-from repro.sim import RandomStreams
+from repro.sim import Interrupt, RandomStreams
 from tests.conftest import RING
 from tests.conftest import drive_ring_exchange as run_ring_exchange
 from tests.conftest import make_ring_world as ring_world
@@ -217,3 +217,44 @@ class TestRankFailures:
         world.fail_rank(1)
         world.fail_rank(1)  # idempotent
         assert world.failed == {1}
+
+    def test_notice_keeps_only_the_waits_still_open(self):
+        """A fault-aware receive that has to wait listens to the world's
+        failure notice.  Once its wait fires it stops listening, whether
+        the receive took the message or an interrupt had abandoned it;
+        only a wait that has not fired stays on the notice."""
+        world = self.fault_aware_world()
+        sim = world.sim
+        outcome = {}
+
+        def abandoned():
+            try:
+                yield from world.communicator(0).recv(1, tag=99)
+            except Interrupt:
+                outcome["abandoned"] = sim.now
+
+        def late_sender():
+            yield sim.timeout(2e-4)  # after the interrupt
+            yield from world.communicator(1).send("late", 0, tag=99)
+
+        def still_open():
+            try:
+                yield from world.communicator(2).recv(3, tag=77)
+            except RankFailure as failure:
+                outcome["open"] = failure.ranks
+
+        victim = sim.process(abandoned())
+        sim.process(late_sender())
+        sim.process(still_open())
+        sim.run(until=1e-4)
+        victim.interrupt()
+        # Four ranks exchange 25 rounds: a hundred receives, most of
+        # which wait; the queue then drains.
+        got = run_ring_exchange(world, rounds=25)
+        assert all(len(payloads) == 25 for payloads in got.values())
+        assert outcome == {"abandoned": 1e-4}
+        notice = world.failure_notice()
+        assert len(notice._callbacks) == 1
+        world.fail_rank(3)
+        sim.run()
+        assert outcome["open"] == frozenset({3})
